@@ -10,8 +10,10 @@ GO ?= go
 
 ci: vet lint build test race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
 
+# go vet plus a gofmt gate: any file gofmt would rewrite fails the build.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Project-specific contract analyzers (determinism, retry safety, zero-cost
 # tracing, pool lifecycles, the append-only wire protocol, the job-impl

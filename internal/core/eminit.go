@@ -101,8 +101,10 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, rssc *signature.RS
 		means[i] = make([]float64, d)
 	}
 	for _, p := range out1.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return nil, fmt.Errorf("em-init-means job: %w", err)
+		}
 		st := p.Value.(sumStat)
 		counts[c] = st.Count
 		if st.Count > 0 {
@@ -150,8 +152,10 @@ func estimateCoreModel(engine *mr.Engine, splits []*mr.Split, rssc *signature.RS
 	}
 	scatters := make([][]float64, k)
 	for _, p := range out2.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return nil, fmt.Errorf("em-init-cov job: %w", err)
+		}
 		scatters[c] = p.Value.([]float64)
 	}
 	for i := 0; i < k; i++ {
@@ -261,7 +265,7 @@ func (m *coreMomentMapper) Cleanup(ctx *mr.TaskContext) error {
 }
 
 // coreScatterMapper accumulates per-core scatter matrices around fixed
-// means.
+// means, lower triangle only; Cleanup mirrors them before emitting.
 type coreScatterMapper struct {
 	attrs    []int
 	fallback *em.Model
@@ -270,6 +274,7 @@ type coreScatterMapper struct {
 
 	inner    coreMomentMapper
 	scatters [][]float64
+	scratch  []float64
 }
 
 func (m *coreScatterMapper) Setup(ctx *mr.TaskContext) error {
@@ -282,35 +287,28 @@ func (m *coreScatterMapper) Setup(ctx *mr.TaskContext) error {
 	for i := range m.scatters {
 		m.scatters[i] = make([]float64, d*d)
 	}
+	m.scratch = make([]float64, 2*d)
 	return nil
 }
+
+// unitWeight weights one row of an unweighted scatter update.
+var unitWeight = []float64{1}
 
 func (m *coreScatterMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
 	ids := m.inner.membership(row)
 	if len(ids) == 0 {
 		return nil
 	}
-	d := len(m.attrs)
 	x := m.inner.project(row)
 	for _, c := range ids {
-		mu := m.means[c]
-		s := m.scatters[c]
-		for a := 0; a < d; a++ {
-			da := x[a] - mu[a]
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				s[base+b] += da * (x[b] - mu[b])
-			}
-		}
+		linalg.ScatterLower(m.scatters[c], unitWeight, x, m.means[c], m.scratch)
 	}
 	return nil
 }
 
 func (m *coreScatterMapper) Cleanup(ctx *mr.TaskContext) error {
 	for c := 0; c < m.k; c++ {
+		linalg.MirrorLower(m.scatters[c], len(m.attrs))
 		ctx.Emit(m.inner.keys[c], m.scatters[c])
 	}
 	return nil

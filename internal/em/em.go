@@ -25,8 +25,12 @@ type Component struct {
 	// Cov is the |Arel|×|Arel| covariance.
 	Cov *linalg.Matrix
 
-	chol   *linalg.Cholesky
-	logDet float64
+	// Set by prepare: the Cholesky factor of Cov, ln π (−Inf when π ≤ 0,
+	// which marks the component as skipped in the posterior) and the
+	// density's constant |Arel|·ln 2π + ln det Σ.
+	chol *linalg.Cholesky
+	logW float64
+	norm float64
 }
 
 // Model is a Gaussian mixture over the projected subspace.
@@ -49,7 +53,12 @@ func (c *Component) prepare() error {
 		chol, err := linalg.CholeskyDecompose(linalg.RegularizeSPD(cov, r))
 		if err == nil {
 			c.chol = chol
-			c.logDet = chol.LogDet()
+			if c.Weight <= 0 {
+				c.logW = math.Inf(-1)
+			} else {
+				c.logW = math.Log(c.Weight)
+			}
+			c.norm = float64(cov.Rows)*math.Log(2*math.Pi) + chol.LogDet()
 			return nil
 		}
 		r *= 100
@@ -80,65 +89,6 @@ func (m *Model) Project(dst, row []float64) []float64 {
 		dst[i] = row[a]
 	}
 	return dst
-}
-
-// LogPDF returns log p(x|G_i) for the projected point x.
-func (m *Model) LogPDF(i int, x []float64, diffScratch, solveScratch []float64) float64 {
-	c := m.Components[i]
-	return linalg.GaussianLogPDF(x, c.Mean, c.chol, c.logDet, diffScratch, solveScratch)
-}
-
-// MostLikely returns argmax_i p(x|G_i) — the paper's cluster assignment rule
-// (likelihood, not posterior; §3.2.2) — for a projected point.
-func (m *Model) MostLikely(x []float64, diffScratch, solveScratch []float64) int {
-	best, bestLL := 0, math.Inf(-1)
-	for i := range m.Components {
-		if ll := m.LogPDF(i, x, diffScratch, solveScratch); ll > bestLL {
-			best, bestLL = i, ll
-		}
-	}
-	return best
-}
-
-// Responsibilities fills resp[i] with the posterior p(G_i|x) ∝ π_i·p(x|G_i)
-// for the projected point x, returning the total log-likelihood log p(x).
-func (m *Model) Responsibilities(resp, x []float64, diffScratch, solveScratch []float64) float64 {
-	k := m.K()
-	maxLL := math.Inf(-1)
-	for i := 0; i < k; i++ {
-		w := m.Components[i].Weight
-		if w <= 0 {
-			resp[i] = math.Inf(-1)
-			continue
-		}
-		resp[i] = math.Log(w) + m.LogPDF(i, x, diffScratch, solveScratch)
-		if resp[i] > maxLL {
-			maxLL = resp[i]
-		}
-	}
-	if math.IsInf(maxLL, -1) {
-		// All components degenerate: uniform responsibilities.
-		for i := 0; i < k; i++ {
-			resp[i] = 1 / float64(k)
-		}
-		return math.Inf(-1)
-	}
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		resp[i] = math.Exp(resp[i] - maxLL)
-		sum += resp[i]
-	}
-	for i := 0; i < k; i++ {
-		resp[i] /= sum
-	}
-	return maxLL + math.Log(sum)
-}
-
-// Mahalanobis returns the Mahalanobis distance (not squared) of the
-// projected point x to component i.
-func (m *Model) Mahalanobis(i int, x []float64, diffScratch, solveScratch []float64) float64 {
-	c := m.Components[i]
-	return math.Sqrt(linalg.MahalanobisSq(x, c.Mean, c.chol, diffScratch, solveScratch))
 }
 
 // Clone deep-copies the model (without prepared factors).
@@ -257,8 +207,10 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 	stats := make([]momentStat, k)
 	var totalLL, totalH float64
 	for _, p := range out1.Pairs {
-		var ci int
-		fmt.Sscanf(p.Key, "c%d", &ci)
+		ci, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return 0, 0, fmt.Errorf("em: moments job: %w", err)
+		}
 		st := p.Value.(momentStat)
 		stats[ci] = st
 		totalLL += st.LL
@@ -296,8 +248,10 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 	}
 	scatters := make([]covStat, k)
 	for _, p := range out2.Pairs {
-		var ci int
-		fmt.Sscanf(p.Key, "c%d", &ci)
+		ci, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return 0, 0, fmt.Errorf("em: covariance job: %w", err)
+		}
 		scatters[ci] = p.Value.(covStat)
 	}
 
@@ -324,15 +278,15 @@ func emIteration(engine *mr.Engine, splits []*mr.Split, model *Model, it int, tr
 }
 
 // momentsMapper accumulates per-component weighted sums over its split and
-// emits them in Cleanup, keeping shuffle volume at O(k·d) per split.
+// emits them in Cleanup, keeping shuffle volume at O(k·d) per split. Rows
+// are evaluated a block at a time and folded in row order.
 type momentsMapper struct {
 	model *Model
 	stats []momentStat
 	keys  []string
-	resp  []float64
-	proj  []float64
-	sc1   []float64
-	sc2   []float64
+	block *Block
+	resp  []float64 // BlockRows×k posteriors
+	ll    []float64 // BlockRows log-likelihoods
 }
 
 func (m *momentsMapper) Setup(*mr.TaskContext) error {
@@ -343,52 +297,65 @@ func (m *momentsMapper) Setup(*mr.TaskContext) error {
 		m.stats[i].L = make([]float64, d)
 	}
 	m.keys = mr.IntKeys("c", k)
-	m.resp = make([]float64, k)
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.block = m.model.NewBlock()
+	m.resp = make([]float64, BlockRows*k)
+	m.ll = make([]float64, BlockRows)
 	return nil
 }
 
 func (m *momentsMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.model.Project(m.proj, row)
-	ll := m.model.Responsibilities(m.resp, x, m.sc1, m.sc2)
-	m.stats[0].LL += ll
-	h := 0.0
-	for _, r := range m.resp {
-		if r > 0 {
-			h -= r * math.Log(r)
-		}
-	}
-	m.stats[0].H += h
-	for i, r := range m.resp {
-		st := &m.stats[i]
-		st.W += r
-		st.W2 += r * r
-		for j, v := range x {
-			st.L[j] += r * v
-		}
+	if m.block.Add(m.model, global, row) {
+		m.flush()
 	}
 	return nil
 }
 
+func (m *momentsMapper) flush() {
+	b, k := m.block, m.model.K()
+	m.model.BlockResponsibilities(m.resp, m.ll, b)
+	for r := 0; r < b.Len(); r++ {
+		x := b.Row(r)
+		resp := m.resp[r*k : (r+1)*k]
+		m.stats[0].LL += m.ll[r]
+		h := 0.0
+		for _, w := range resp {
+			if w > 0 {
+				h -= w * math.Log(w)
+			}
+		}
+		m.stats[0].H += h
+		for i, w := range resp {
+			st := &m.stats[i]
+			st.W += w
+			st.W2 += w * w
+			for j, v := range x {
+				st.L[j] += w * v
+			}
+		}
+	}
+	b.Reset()
+}
+
 func (m *momentsMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.flush()
 	for i, st := range m.stats {
 		ctx.Emit(m.keys[i], st)
 	}
 	return nil
 }
 
-// covMapper accumulates responsibility-weighted scatter around fixed means.
+// covMapper accumulates responsibility-weighted scatter around fixed means,
+// lower triangle only; Cleanup mirrors it before emitting.
 type covMapper struct {
 	model    *Model
 	means    [][]float64
 	scatters []covStat
 	keys     []string
-	resp     []float64
-	proj     []float64
-	sc1      []float64
-	sc2      []float64
+	block    *Block
+	resp     []float64 // BlockRows×k posteriors
+	ll       []float64
+	w        []float64 // one component's posteriors over the block
+	scratch  []float64
 }
 
 func (m *covMapper) Setup(*mr.TaskContext) error {
@@ -399,39 +366,39 @@ func (m *covMapper) Setup(*mr.TaskContext) error {
 		m.scatters[i].S = make([]float64, d*d)
 	}
 	m.keys = mr.IntKeys("c", k)
-	m.resp = make([]float64, k)
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.block = m.model.NewBlock()
+	m.resp = make([]float64, BlockRows*k)
+	m.ll = make([]float64, BlockRows)
+	m.w = make([]float64, BlockRows)
+	m.scratch = make([]float64, 2*BlockRows*d)
 	return nil
 }
 
 func (m *covMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
-	x := m.model.Project(m.proj, row)
-	m.model.Responsibilities(m.resp, x, m.sc1, m.sc2)
-	for i, r := range m.resp {
-		if r == 0 {
-			continue
-		}
-		mu := m.means[i]
-		s := m.scatters[i].S
-		for a := 0; a < d; a++ {
-			da := r * (x[a] - mu[a])
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				s[base+b] += da * (x[b] - mu[b])
-			}
-		}
+	if m.block.Add(m.model, global, row) {
+		m.flush()
 	}
 	return nil
 }
 
+func (m *covMapper) flush() {
+	b, k := m.block, m.model.K()
+	m.model.BlockResponsibilities(m.resp, m.ll, b)
+	w := m.w[:b.Len()]
+	for i := 0; i < k; i++ {
+		for r := range w {
+			w[r] = m.resp[r*k+i]
+		}
+		linalg.ScatterLower(m.scatters[i].S, w, b.Rows(), m.means[i], m.scratch)
+	}
+	b.Reset()
+}
+
 func (m *covMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.flush()
+	d := len(m.model.Attrs)
 	for i, st := range m.scatters {
+		linalg.MirrorLower(st.S, d)
 		ctx.Emit(m.keys[i], st)
 	}
 	return nil

@@ -423,17 +423,6 @@ func TestMahalanobisSqProperties(t *testing.T) {
 	}
 }
 
-func TestGaussianLogPDFIntegratesToDensity(t *testing.T) {
-	// 1-D standard normal: logPDF(0) = −0.5·log(2π).
-	cov := NewMatrixFrom(1, 1, []float64{1})
-	ch, _ := CholeskyDecompose(cov)
-	got := GaussianLogPDF([]float64{0}, []float64{0}, ch, ch.LogDet(), nil, nil)
-	want := -0.5 * math.Log(2*math.Pi)
-	if !almostEq(got, want, 1e-12) {
-		t.Fatalf("logPDF = %g, want %g", got, want)
-	}
-}
-
 func TestIdentityCholeskyMahalanobisIsEuclidean(t *testing.T) {
 	ch, _ := CholeskyDecompose(Identity(3))
 	x := []float64{3, 4, 0}

@@ -72,9 +72,9 @@ type workerState struct {
 	// job is the materialized current job (registry funcs + decoded cache);
 	// jobErr defers an impl-resolution failure to the first task frame, so
 	// it surfaces as a task error instead of a dead worker.
-	job    *Job
-	jobErr error
-	nb     int
+	job         *Job
+	jobErr      error
+	nb          int
 	mapOnly     bool
 	hasCombiner bool
 	spillDir    string

@@ -13,23 +13,23 @@ import (
 // reconstructing span state; zero-valued optionals are omitted to keep
 // traces compact.
 type jsonlLine struct {
-	Ev      string    `json:"ev"` // "begin" | "end" | "point"
-	TS      float64   `json:"ts"` // seconds since the tracer was created
-	ID      int64     `json:"id,omitempty"`
-	Parent  int64     `json:"parent,omitempty"`
-	Span    int64     `json:"span,omitempty"` // point events: enclosing span
-	Kind    string    `json:"kind,omitempty"`
-	Name    string    `json:"name,omitempty"`
-	Task    *int      `json:"task,omitempty"` // pointer: task 0 is valid, -1 = shuffle
-	Attempt int       `json:"attempt,omitempty"`
-	Phase   string    `json:"phase,omitempty"`
-	Point   string    `json:"point,omitempty"`
-	Outcome string    `json:"outcome,omitempty"`
-	Err     string    `json:"err,omitempty"`
-	RealS   float64   `json:"real_s,omitempty"`
-	SimS    float64   `json:"sim_s,omitempty"`
-	Seconds float64   `json:"seconds,omitempty"`
-	Value   float64   `json:"value,omitempty"`
+	Ev      string          `json:"ev"` // "begin" | "end" | "point"
+	TS      float64         `json:"ts"` // seconds since the tracer was created
+	ID      int64           `json:"id,omitempty"`
+	Parent  int64           `json:"parent,omitempty"`
+	Span    int64           `json:"span,omitempty"` // point events: enclosing span
+	Kind    string          `json:"kind,omitempty"`
+	Name    string          `json:"name,omitempty"`
+	Task    *int            `json:"task,omitempty"` // pointer: task 0 is valid, -1 = shuffle
+	Attempt int             `json:"attempt,omitempty"`
+	Phase   string          `json:"phase,omitempty"`
+	Point   string          `json:"point,omitempty"`
+	Outcome string          `json:"outcome,omitempty"`
+	Err     string          `json:"err,omitempty"`
+	RealS   float64         `json:"real_s,omitempty"`
+	SimS    float64         `json:"sim_s,omitempty"`
+	Seconds float64         `json:"seconds,omitempty"`
+	Value   float64         `json:"value,omitempty"`
 	Retries int64           `json:"retries,omitempty"`
 	Worker  string          `json:"worker,omitempty"`
 	Sample  *ResourceSample `json:"sample,omitempty"`

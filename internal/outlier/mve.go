@@ -134,8 +134,10 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 	}
 	samples := make([][]float64, k)
 	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return nil, fmt.Errorf("outlier: mve-sample job: %w", err)
+		}
 		if len(samples[c]) < mveSampleCap*d {
 			samples[c] = append(samples[c], p.Value.([]float64)...)
 		}
@@ -143,7 +145,6 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 
 	robust := model.Clone()
 	rng := rand.New(rand.NewSource(7))
-	balls := make([]*ballStat, k)
 	for c := 0; c < k; c++ {
 		if len(samples[c])/d < d+2 {
 			continue // keep EM statistics for starved clusters
@@ -154,22 +155,21 @@ func mveModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace obs.
 		}
 		robust.Components[c].Mean = mu
 		robust.Components[c].Cov = cov
-		// Reuse the in-ball re-estimation jobs with an ellipsoid core: the
-		// "ball" is expressed in the Mahalanobis metric of the MVE.
-		balls[c] = &ballStat{Center: mu, Radius: -1} // marker; see inEllipsoid
 	}
 
 	// Re-estimate mean/cov from the points inside each MVE core with the
-	// same two jobs the MVB detector uses, but with ellipsoid membership.
+	// same two jobs the MVB detector uses, but with ellipsoid membership:
+	// the core is expressed in the Mahalanobis metric of the MVE.
 	if err := robust.Prepare(); err != nil {
 		return nil, err
 	}
 	core := stats.ChiSquareCritical(0.5, d)
-	means, counts, err := ellipsoidMeans(engine, splits, robust, core, trace)
+	rule := coreRule{radius2: core}
+	means, counts, err := coreMeans(engine, splits, robust, rule, "mve-mean", trace)
 	if err != nil {
 		return nil, err
 	}
-	covs, err := ellipsoidCovariances(engine, splits, robust, core, means, trace)
+	covs, err := coreCovariances(engine, splits, robust, rule, means, "mve-cov", trace)
 	if err != nil {
 		return nil, err
 	}
@@ -197,225 +197,51 @@ type sampleMapper struct {
 	buffers [][]float64
 	seen    []int
 	keys    []string
-	proj    []float64
-	sc1     []float64
-	sc2     []float64
+	block   *em.Block
+	comp    []int
 }
 
 func (m *sampleMapper) Setup(ctx *mr.TaskContext) error {
-	d := len(m.model.Attrs)
 	m.rng = rand.New(rand.NewSource(int64(ctx.TaskID) + 13))
 	m.buffers = make([][]float64, m.model.K())
 	m.seen = make([]int, m.model.K())
 	m.keys = mr.IntKeys("c", m.model.K())
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.block = m.model.NewBlock()
+	m.comp = make([]int, em.BlockRows)
 	return nil
 }
 
 func (m *sampleMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
-	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
-	m.seen[c]++
-	if len(m.buffers[c]) < m.cap*d {
-		m.buffers[c] = append(m.buffers[c], x...)
-		return nil
-	}
-	// Reservoir replacement.
-	if j := m.rng.Intn(m.seen[c]); j < m.cap {
-		copy(m.buffers[c][j*d:(j+1)*d], x)
+	if m.block.Add(m.model, global, row) {
+		m.flush()
 	}
 	return nil
+}
+
+func (m *sampleMapper) flush() {
+	d := len(m.model.Attrs)
+	b := m.block
+	m.model.BlockMostLikely(m.comp, b)
+	for r := 0; r < b.Len(); r++ {
+		c, x := m.comp[r], b.Row(r)
+		m.seen[c]++
+		if len(m.buffers[c]) < m.cap*d {
+			m.buffers[c] = append(m.buffers[c], x...)
+			continue
+		}
+		// Reservoir replacement.
+		if j := m.rng.Intn(m.seen[c]); j < m.cap {
+			copy(m.buffers[c][j*d:(j+1)*d], x)
+		}
+	}
+	b.Reset()
 }
 
 func (m *sampleMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.flush()
 	for c, buf := range m.buffers {
 		if len(buf) > 0 {
 			ctx.Emit(m.keys[c], buf)
-		}
-	}
-	return nil
-}
-
-// ellipsoidMeans/ellipsoidCovariances mirror ballMeans/ballCovariances with
-// Mahalanobis-ellipsoid membership: x belongs to its cluster's core when
-// (x−µ)ᵀΣ⁻¹(x−µ) ≤ radius2 under the robust model.
-func ellipsoidMeans(engine *mr.Engine, splits []*mr.Split, robust *em.Model, radius2 float64, trace obs.SpanID) ([][]float64, []int64, error) {
-	d := len(robust.Attrs)
-	k := robust.K()
-	job := &mr.Job{
-		Name:        "mve-mean",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &inEllipsoidMapper{model: robust, radius2: radius2, emitCov: false}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := meanStat{Sum: make([]float64, d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(meanStat)
-				agg.Count += st.Count
-				for j := range agg.Sum {
-					agg.Sum[j] += st.Sum[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
-	if err != nil {
-		return nil, nil, err
-	}
-	means := make([][]float64, k)
-	counts := make([]int64, k)
-	for i := range means {
-		means[i] = append([]float64(nil), robust.Components[i].Mean...)
-	}
-	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(meanStat)
-		counts[c] = st.Count
-		if st.Count > 0 {
-			mu := make([]float64, d)
-			for j := range mu {
-				mu[j] = st.Sum[j] / float64(st.Count)
-			}
-			means[c] = mu
-		}
-	}
-	return means, counts, nil
-}
-
-func ellipsoidCovariances(engine *mr.Engine, splits []*mr.Split, robust *em.Model, radius2 float64, means [][]float64, trace obs.SpanID) ([]*linalg.Matrix, error) {
-	d := len(robust.Attrs)
-	k := robust.K()
-	job := &mr.Job{
-		Name:        "mve-cov",
-		Splits:      splits,
-		TraceParent: trace,
-		NewMapper: func() mr.Mapper {
-			return &inEllipsoidMapper{model: robust, radius2: radius2, emitCov: true, means: means}
-		},
-		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
-			agg := scatterStat{S: make([]float64, d*d)}
-			for i := 0; i < values.Len(); i++ {
-				st := values.Value(i).(scatterStat)
-				agg.Count += st.Count
-				for j := range agg.S {
-					agg.S[j] += st.S[j]
-				}
-			}
-			ctx.Emit(key, agg)
-			return nil
-		}),
-	}
-	out, err := engine.Run(job)
-	if err != nil {
-		return nil, err
-	}
-	covs := make([]*linalg.Matrix, k)
-	for i := range covs {
-		covs[i] = robust.Components[i].Cov.Clone()
-	}
-	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
-		st := p.Value.(scatterStat)
-		if st.Count >= 2 {
-			cov := linalg.NewMatrix(d, d)
-			f := 1 / float64(st.Count-1)
-			for j := range cov.Data {
-				cov.Data[j] = st.S[j] * f
-			}
-			covs[c] = cov
-		}
-	}
-	return covs, nil
-}
-
-type inEllipsoidMapper struct {
-	model   *em.Model
-	radius2 float64
-	emitCov bool
-	means   [][]float64
-
-	sums     []meanStat
-	scatters []scatterStat
-	keys     []string
-	proj     []float64
-	sc1      []float64
-	sc2      []float64
-}
-
-func (m *inEllipsoidMapper) Setup(*mr.TaskContext) error {
-	d := len(m.model.Attrs)
-	k := m.model.K()
-	m.keys = mr.IntKeys("c", k)
-	if m.emitCov {
-		m.scatters = make([]scatterStat, k)
-		for i := range m.scatters {
-			m.scatters[i].S = make([]float64, d*d)
-		}
-	} else {
-		m.sums = make([]meanStat, k)
-		for i := range m.sums {
-			m.sums[i].Sum = make([]float64, d)
-		}
-	}
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
-	return nil
-}
-
-func (m *inEllipsoidMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
-	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
-	md := m.model.Mahalanobis(c, x, m.sc1, m.sc2)
-	if md*md > m.radius2 {
-		return nil
-	}
-	if m.emitCov {
-		mu := m.means[c]
-		s := m.scatters[c].S
-		for a := 0; a < d; a++ {
-			da := x[a] - mu[a]
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				s[base+b] += da * (x[b] - mu[b])
-			}
-		}
-		m.scatters[c].Count++
-	} else {
-		st := &m.sums[c]
-		for j := 0; j < d; j++ {
-			st.Sum[j] += x[j]
-		}
-		st.Count++
-	}
-	return nil
-}
-
-func (m *inEllipsoidMapper) Cleanup(ctx *mr.TaskContext) error {
-	if m.emitCov {
-		for c, st := range m.scatters {
-			if st.Count > 0 {
-				ctx.Emit(m.keys[c], st)
-			}
-		}
-		return nil
-	}
-	for c, st := range m.sums {
-		if st.Count > 0 {
-			ctx.Emit(m.keys[c], st)
 		}
 	}
 	return nil

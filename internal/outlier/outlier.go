@@ -137,37 +137,49 @@ func emitOutlierStats(engine *mr.Engine, span obs.SpanID, labels []int, n int) {
 	}
 }
 
-// odMapper is the map-only OD job: it emits (global index, label).
+// odMapper is the map-only OD job: it emits (global index, label), a block
+// of rows at a time in row order.
 type odMapper struct {
 	assign *em.Model
 	test   *em.Model
 	crit   float64
-	proj   []float64
-	sc1    []float64
-	sc2    []float64
+	block  *em.Block
+	comp   []int
+	dist   []float64
 }
 
 func (m *odMapper) Setup(*mr.TaskContext) error {
-	d := len(m.assign.Attrs)
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.block = m.assign.NewBlock()
+	m.comp = make([]int, em.BlockRows)
+	m.dist = make([]float64, em.BlockRows)
 	return nil
 }
 
 func (m *odMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.assign.Project(m.proj, row)
-	c := m.assign.MostLikely(x, m.sc1, m.sc2)
-	d := m.test.Mahalanobis(c, x, m.sc1, m.sc2)
-	label := c
-	if d*d > m.crit {
-		label = OutlierLabel
+	if m.block.Add(m.assign, global, row) {
+		m.flush(ctx)
 	}
-	ctx.Emit("p", [2]int{global, label})
 	return nil
 }
 
-func (m *odMapper) Cleanup(*mr.TaskContext) error { return nil }
+func (m *odMapper) flush(ctx *mr.TaskContext) {
+	b := m.block
+	m.assign.BlockMostLikely(m.comp, b)
+	m.test.BlockMahalanobis(m.dist, m.comp, b)
+	for r := 0; r < b.Len(); r++ {
+		label := m.comp[r]
+		if d := m.dist[r]; d*d > m.crit {
+			label = OutlierLabel
+		}
+		ctx.Emit("p", [2]int{b.Global(r), label})
+	}
+	b.Reset()
+}
+
+func (m *odMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.flush(ctx)
+	return nil
+}
 
 // ballStat ships one split's per-cluster MVB approximation.
 type ballStat struct {
@@ -224,19 +236,22 @@ func robustModel(engine *mr.Engine, splits []*mr.Split, model *em.Model, trace o
 	}
 	balls := make([]*ballStat, k)
 	for _, p := range out1.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return nil, fmt.Errorf("outlier: mvb-ball job: %w", err)
+		}
 		st := p.Value.(ballStat)
 		balls[c] = &st
 	}
 
 	// Jobs 2+3: mean then covariance of the in-ball points per cluster,
 	// exactly as the EM initialization computes its statistics.
-	means, counts, err := ballMeans(engine, splits, model, balls, trace)
+	rule := coreRule{balls: balls}
+	means, counts, err := coreMeans(engine, splits, model, rule, "mvb-mean", trace)
 	if err != nil {
 		return nil, err
 	}
-	covs, err := ballCovariances(engine, splits, model, balls, means, trace)
+	covs, err := coreCovariances(engine, splits, model, rule, means, "mvb-cov", trace)
 	if err != nil {
 		return nil, err
 	}
@@ -259,29 +274,37 @@ type ballMapper struct {
 	model  *em.Model
 	groups [][]float64 // projected points per cluster, row-major
 	keys   []string
-	proj   []float64
-	sc1    []float64
-	sc2    []float64
+	block  *em.Block
+	comp   []int
 }
 
 func (m *ballMapper) Setup(*mr.TaskContext) error {
-	d := len(m.model.Attrs)
 	m.groups = make([][]float64, m.model.K())
 	m.keys = mr.IntKeys("c", m.model.K())
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.block = m.model.NewBlock()
+	m.comp = make([]int, em.BlockRows)
 	return nil
 }
 
 func (m *ballMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
-	m.groups[c] = append(m.groups[c], x...)
+	if m.block.Add(m.model, global, row) {
+		m.flush()
+	}
 	return nil
 }
 
+func (m *ballMapper) flush() {
+	b := m.block
+	m.model.BlockMostLikely(m.comp, b)
+	for r := 0; r < b.Len(); r++ {
+		c := m.comp[r]
+		m.groups[c] = append(m.groups[c], b.Row(r)...)
+	}
+	b.Reset()
+}
+
 func (m *ballMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.flush()
 	d := len(m.model.Attrs)
 	col := make([]float64, 0, 1024)
 	for c, rows := range m.groups {
@@ -316,21 +339,38 @@ func (m *ballMapper) Cleanup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-// meanStat ships per-cluster in-ball sums.
+// meanStat ships per-cluster in-core sums.
 type meanStat struct {
 	Sum   []float64
 	Count int64
 }
 
-func ballMeans(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*ballStat, trace obs.SpanID) ([][]float64, []int64, error) {
+// scatterStat ships per-cluster in-core scatter.
+type scatterStat struct {
+	S     []float64
+	Count int64
+}
+
+// coreRule decides whether a point assigned to cluster c lies in the
+// cluster's robust core: inside its MVB ball (balls, §5.5) or, for the MVE
+// extension (balls nil), inside the ellipsoid (x−µ)ᵀΣ⁻¹(x−µ) ≤ radius2 of
+// the model the points are assigned under.
+type coreRule struct {
+	balls   []*ballStat
+	radius2 float64
+}
+
+// coreMeans runs the job that averages each cluster's core points. Clusters
+// with an empty core keep the model's mean; the core sizes are returned.
+func coreMeans(engine *mr.Engine, splits []*mr.Split, model *em.Model, rule coreRule, name string, trace obs.SpanID) ([][]float64, []int64, error) {
 	d := len(model.Attrs)
 	k := model.K()
 	job := &mr.Job{
-		Name:        "mvb-mean",
+		Name:        name,
 		Splits:      splits,
 		TraceParent: trace,
 		NewMapper: func() mr.Mapper {
-			return &inBallMapper{model: model, balls: balls, emitCov: false}
+			return &inCoreMapper{model: model, rule: rule}
 		},
 		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
 			agg := meanStat{Sum: make([]float64, d)}
@@ -355,8 +395,10 @@ func ballMeans(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*
 		means[i] = append([]float64(nil), model.Components[i].Mean...)
 	}
 	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return nil, nil, fmt.Errorf("outlier: %s job: %w", name, err)
+		}
 		st := p.Value.(meanStat)
 		counts[c] = st.Count
 		if st.Count > 0 {
@@ -370,21 +412,18 @@ func ballMeans(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*
 	return means, counts, nil
 }
 
-// scatterStat ships per-cluster in-ball scatter.
-type scatterStat struct {
-	S     []float64
-	Count int64
-}
-
-func ballCovariances(engine *mr.Engine, splits []*mr.Split, model *em.Model, balls []*ballStat, means [][]float64, trace obs.SpanID) ([]*linalg.Matrix, error) {
+// coreCovariances runs the job that takes each cluster's core scatter
+// around means. Clusters with fewer than two core points keep the model's
+// covariance.
+func coreCovariances(engine *mr.Engine, splits []*mr.Split, model *em.Model, rule coreRule, means [][]float64, name string, trace obs.SpanID) ([]*linalg.Matrix, error) {
 	d := len(model.Attrs)
 	k := model.K()
 	job := &mr.Job{
-		Name:        "mvb-cov",
+		Name:        name,
 		Splits:      splits,
 		TraceParent: trace,
 		NewMapper: func() mr.Mapper {
-			return &inBallMapper{model: model, balls: balls, emitCov: true, means: means}
+			return &inCoreMapper{model: model, rule: rule, emitCov: true, means: means}
 		},
 		TypedReducer: mr.TypedReducerFunc(func(ctx *mr.TaskContext, key string, values mr.Values) error {
 			agg := scatterStat{S: make([]float64, d*d)}
@@ -408,8 +447,10 @@ func ballCovariances(engine *mr.Engine, splits []*mr.Split, model *em.Model, bal
 		covs[i] = model.Components[i].Cov.Clone()
 	}
 	for _, p := range out.Pairs {
-		var c int
-		fmt.Sscanf(p.Key, "c%d", &c)
+		c, err := mr.IntKeyIndex("c", p.Key, k)
+		if err != nil {
+			return nil, fmt.Errorf("outlier: %s job: %w", name, err)
+		}
 		st := p.Value.(scatterStat)
 		if st.Count >= 2 {
 			cov := linalg.NewMatrix(d, d)
@@ -423,23 +464,24 @@ func ballCovariances(engine *mr.Engine, splits []*mr.Split, model *em.Model, bal
 	return covs, nil
 }
 
-// inBallMapper accumulates sums (or scatter) of the points inside each
-// cluster's MVB.
-type inBallMapper struct {
+// inCoreMapper accumulates sums (or scatter) of the points inside each
+// cluster's core.
+type inCoreMapper struct {
 	model   *em.Model
-	balls   []*ballStat
+	rule    coreRule
 	emitCov bool
 	means   [][]float64
 
 	sums     []meanStat
 	scatters []scatterStat
 	keys     []string
-	proj     []float64
-	sc1      []float64
-	sc2      []float64
+	block    *em.Block
+	comp     []int
+	dist     []float64
+	scratch  []float64
 }
 
-func (m *inBallMapper) Setup(*mr.TaskContext) error {
+func (m *inCoreMapper) Setup(*mr.TaskContext) error {
 	d := len(m.model.Attrs)
 	k := m.model.K()
 	m.keys = mr.IntKeys("c", k)
@@ -454,56 +496,72 @@ func (m *inBallMapper) Setup(*mr.TaskContext) error {
 			m.sums[i].Sum = make([]float64, d)
 		}
 	}
-	m.proj = make([]float64, d)
-	m.sc1 = make([]float64, d)
-	m.sc2 = make([]float64, d)
+	m.block = m.model.NewBlock()
+	m.comp = make([]int, em.BlockRows)
+	m.dist = make([]float64, em.BlockRows)
+	m.scratch = make([]float64, 2*d)
 	return nil
 }
 
-func (m *inBallMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	d := len(m.model.Attrs)
-	x := m.model.Project(m.proj, row)
-	c := m.model.MostLikely(x, m.sc1, m.sc2)
-	ball := m.balls[c]
+// unitWeight weights one row of an unweighted scatter update.
+var unitWeight = []float64{1}
+
+func (m *inCoreMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
+	if m.block.Add(m.model, global, row) {
+		m.flush()
+	}
+	return nil
+}
+
+// inCore reports whether buffered row r, assigned to cluster c, lies in the
+// cluster's core.
+func (m *inCoreMapper) inCore(r, c int, x []float64) bool {
+	if m.rule.balls == nil {
+		return !(m.dist[r]*m.dist[r] > m.rule.radius2)
+	}
+	ball := m.rule.balls[c]
 	if ball == nil {
-		return nil
+		return false
 	}
 	s := 0.0
-	for j := 0; j < d; j++ {
-		diff := x[j] - ball.Center[j]
+	for j, v := range x {
+		diff := v - ball.Center[j]
 		s += diff * diff
 	}
-	if math.Sqrt(s) > ball.Radius {
-		return nil
+	return !(math.Sqrt(s) > ball.Radius)
+}
+
+func (m *inCoreMapper) flush() {
+	b := m.block
+	m.model.BlockMostLikely(m.comp, b)
+	if m.rule.balls == nil {
+		m.model.BlockMahalanobis(m.dist, m.comp, b)
 	}
-	if m.emitCov {
-		mu := m.means[c]
-		sc := m.scatters[c].S
-		for a := 0; a < d; a++ {
-			da := x[a] - mu[a]
-			if da == 0 {
-				continue
-			}
-			base := a * d
-			for b := 0; b < d; b++ {
-				sc[base+b] += da * (x[b] - mu[b])
-			}
+	for r := 0; r < b.Len(); r++ {
+		c, x := m.comp[r], b.Row(r)
+		if !m.inCore(r, c, x) {
+			continue
 		}
-		m.scatters[c].Count++
-	} else {
+		if m.emitCov {
+			linalg.ScatterLower(m.scatters[c].S, unitWeight, x, m.means[c], m.scratch)
+			m.scatters[c].Count++
+			continue
+		}
 		st := &m.sums[c]
-		for j := 0; j < d; j++ {
-			st.Sum[j] += x[j]
+		for j, v := range x {
+			st.Sum[j] += v
 		}
 		st.Count++
 	}
-	return nil
+	b.Reset()
 }
 
-func (m *inBallMapper) Cleanup(ctx *mr.TaskContext) error {
+func (m *inCoreMapper) Cleanup(ctx *mr.TaskContext) error {
+	m.flush()
 	if m.emitCov {
 		for c, st := range m.scatters {
 			if st.Count > 0 {
+				linalg.MirrorLower(st.S, len(m.model.Attrs))
 				ctx.Emit(m.keys[c], st)
 			}
 		}
