@@ -1,14 +1,16 @@
 # Build/test entry points. `make ci` is the full PR gate: vet, the p3cvet
 # contract analyzers, build, the whole test suite (with test-order
-# shuffling so order dependence can't creep in), the race detector over the
-# engine's concurrent merge path, the chaos/fault suite under -race, and
-# one pass of the engine micro-benchmarks (compile + smoke, not timing).
+# shuffling so order dependence can't creep in), the whole test suite again
+# under the race detector, the spill-codec fuzz seeds, the trace-diff CLI
+# gate, and one pass of the engine micro-benchmarks (compile + smoke, not
+# timing). The focused -race runners (chaos, chaos-proc, trace, ops,
+# ops-proc) are not in ci: each is a strict subset of `race`.
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fix-check build test race bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
+.PHONY: ci vet lint lint-fix-check build test race fuzz-seeds bench bench-diff chaos chaos-proc trace ops ops-proc trace-diff trace-demo ops-demo trace-analyze proc-demo
 
-ci: vet lint build test race chaos chaos-proc trace ops ops-proc trace-diff bench bench-diff
+ci: vet lint build test race fuzz-seeds trace-diff bench bench-diff
 
 # go vet plus a gofmt gate: any file gofmt would rewrite fails the build.
 vet:
@@ -52,8 +54,12 @@ chaos:
 # SIGKILL-mid-task chaos tests with exact retry/waste accounting, the
 # out-of-core spill/merge test, and one fuzz-seed pass over the spill
 # codec and the k-way merge.
-chaos-proc:
+chaos-proc: fuzz-seeds
 	$(GO) test -race -run 'Backend|ProcKill|Spill|Worker|Multiprocess|Wire' ./internal/mr/ ./cmd/p3ctrace/ .
+
+# One pass over the seed corpora of the spill-codec and k-way-merge fuzz
+# targets.
+fuzz-seeds:
 	$(GO) test -run 'FuzzSpillRoundTrip|FuzzKWayMergeOrder' ./internal/mr/
 
 # Observability suite under the race detector: tracer/metrics unit tests,

@@ -14,14 +14,14 @@ import (
 // three shapes that put boxing or key formatting back on the per-record path:
 //
 //   - an Emit call whose value argument has static scalar type (use the
-//     EmitF64/EmitI64/EmitInt lane, or the generic mr.Emit, instead);
+//     EmitF64/EmitI64/EmitInt lane instead);
 //   - a Pair composite literal whose Value field is a scalar (pairs box at
 //     construction — produce them through the typed emit surface);
 //   - an Emit call whose key argument is built by fmt.Sprintf at the call
 //     site (precompute a key table, e.g. mr.IntKeys, in the mapper's Setup).
 //
-// Deliberate uses of the boxed-compat shim carry a //lint:allow hotpath
-// comment with the justification.
+// Deliberate scalar boxing carries a //lint:allow hotpath comment with the
+// justification.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid scalar any-boxing and per-emit key formatting on the data-plane hot path",
@@ -118,7 +118,7 @@ func checkEmitCall(pass *Pass, call *ast.CallExpr) {
 	}
 	if kind, lane := scalarLane(pass.TypeOf(val)); kind != "" {
 		pass.Reportf(call.Pos(),
-			"Emit boxes a %s into any on the hot path — use %s (or the generic mr.Emit) to keep the scalar unboxed",
+			"Emit boxes a %s into any on the hot path — use %s to keep the scalar unboxed",
 			kind, lane)
 	}
 }

@@ -13,12 +13,16 @@
 //   - hotpath:    no scalar any-boxing or fmt.Sprintf key construction at
 //     emit sites — scalars ride the typed lanes (EmitF64/EmitI64/EmitInt)
 //     and keys come from precomputed tables (mr.IntKeys).
+//   - implreg:    Job.Impl names and RegisterJobImpl calls form a bijection.
 //   - maporder:   no emitting/accumulating output from a `range` over a map
 //     without an intervening sort (Go randomizes map iteration order).
-//   - reducermut: reducer/combiner bodies must not write through, or leak
-//     aliases of, their shared values slice (retry safety).
+//   - poolsafe:   pooled engine buffers stay inside their lifecycle barrier.
+//   - reducermut: typed reducers/combiners must not write through, or emit,
+//     what they read via Values.Value (retry safety).
+//   - spanbalance: every span Begin is Ended on all control-flow paths.
 //   - tracenil:   calls through Tracer/Metrics handles must be nil-guarded
 //     (the zero-cost-when-off contract).
+//   - wirelock:   the wire protocol evolves append-only against wire.lock.
 //
 // Findings can be suppressed with a `//lint:allow <analyzer> <reason>`
 // comment on the finding's line or the line directly above it; allows that

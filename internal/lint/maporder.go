@@ -125,10 +125,15 @@ func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 // rootIdent unwraps index/selector/paren/star/assert chains to the leftmost
 // identifier (attrs[c] → attrs, m.out → m), or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
+	id, _ := unwrapChain(e).(*ast.Ident)
+	return id
+}
+
+// unwrapChain strips index/selector/paren/star/slice/assert layers and
+// returns the innermost expression.
+func unwrapChain(e ast.Expr) ast.Expr {
 	for {
 		switch x := e.(type) {
-		case *ast.Ident:
-			return x
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.SelectorExpr:
@@ -142,7 +147,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		case *ast.TypeAssertExpr:
 			e = x.X
 		default:
-			return nil
+			return e
 		}
 	}
 }

@@ -8,49 +8,50 @@ import (
 // ReducerMut enforces the read-only-values reducer contract that makes the
 // engine's reduce retry path safe: a failed reduce attempt is re-run from
 // the same immutable shuffled bucket, so a reducer (or combiner) that
-// writes through its values slice — or through an alias of a shipped
-// reference value — corrupts the input of its own retry and double-counts
-// (mr.Reducer documents the contract; internal/core's copy-based reducers
-// are the sanctioned pattern). The analyzer identifies reducer-shaped
-// functions (ReducerFunc/CombinerFunc conversions, Job{Reducer:/Combiner:}
-// literals, Reduce/Combine methods taking a []any) and flags writes through
-// the values parameter or its aliases, and escapes of those aliases into
-// emitted output or surrounding state.
+// writes through a slice or pointer obtained from values.Value(i) corrupts
+// the input of its own retry and double-counts (mr.TypedReducer documents
+// the contract; internal/core's copy-based reducers are the sanctioned
+// pattern). The analyzer finds reducer-shaped functions
+// (TypedReducerFunc/TypedCombinerFunc conversions, Job{TypedReducer:/
+// TypedCombiner:} literals, ReduceTyped/CombineTyped methods) and flags
+// writes through, and emits of, the aliases of their Values parameter.
 var ReducerMut = &Analyzer{
 	Name: "reducermut",
-	Doc:  "forbid reducers/combiners from writing through or leaking their shared values slice (retry safety)",
+	Doc:  "forbid reducers/combiners from writing through or leaking the shared values they read (retry safety)",
 	Run:  runReducerMut,
 }
 
 func runReducerMut(pass *Pass) {
+	checkLit := func(e ast.Expr) {
+		if fl, ok := e.(*ast.FuncLit); ok {
+			if vp := valuesParam(pass, fl.Type); vp != nil {
+				checkReducerBody(pass, fl.Body, vp)
+			}
+		}
+	}
 	for _, file := range pass.Files {
-		// Methods implementing the Reducer/Combiner interfaces.
+		// Methods implementing the TypedReducer/TypedCombiner interfaces.
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Recv == nil {
 				continue
 			}
-			if fd.Name.Name != "Reduce" && fd.Name.Name != "Combine" {
+			if fd.Name.Name != "ReduceTyped" && fd.Name.Name != "CombineTyped" {
 				continue
 			}
 			if vp := valuesParam(pass, fd.Type); vp != nil {
 				checkReducerBody(pass, fd.Body, vp)
 			}
 		}
-		// Function literals used as ReducerFunc/CombinerFunc conversions or
-		// assigned to Job{Reducer:, Combiner:} fields.
+		// Function literals used as TypedReducerFunc/TypedCombinerFunc
+		// conversions or assigned to Job{TypedReducer:, TypedCombiner:}
+		// (a wrapped conversion there is the CallExpr case).
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				name := calleeName(n.Fun)
-				if name != "ReducerFunc" && name != "CombinerFunc" {
-					return true
-				}
-				for _, arg := range n.Args {
-					if fl, ok := arg.(*ast.FuncLit); ok {
-						if vp := valuesParam(pass, fl.Type); vp != nil {
-							checkReducerBody(pass, fl.Body, vp)
-						}
+				if name := calleeName(n.Fun); name == "TypedReducerFunc" || name == "TypedCombinerFunc" {
+					for _, arg := range n.Args {
+						checkLit(arg)
 					}
 				}
 			case *ast.CompositeLit:
@@ -62,14 +63,8 @@ func runReducerMut(pass *Pass) {
 					if !ok {
 						continue
 					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok || (key.Name != "Reducer" && key.Name != "Combiner") {
-						continue
-					}
-					if fl, ok := unwrapConversion(kv.Value).(*ast.FuncLit); ok {
-						if vp := valuesParam(pass, fl.Type); vp != nil {
-							checkReducerBody(pass, fl.Body, vp)
-						}
+					if key, ok := kv.Key.(*ast.Ident); ok && (key.Name == "TypedReducer" || key.Name == "TypedCombiner") {
+						checkLit(kv.Value)
 					}
 				}
 			}
@@ -78,30 +73,20 @@ func runReducerMut(pass *Pass) {
 	}
 }
 
-// valuesParam returns the declaring identifier of the trailing []any
-// parameter (the shuffled values slice), or nil when the signature does not
+// valuesParam returns the declaring identifier of the Values parameter
+// (the view over the shuffled values), or nil when the signature does not
 // look like a reducer/combiner.
 func valuesParam(pass *Pass, ft *ast.FuncType) *ast.Ident {
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return nil
+	for _, field := range ft.Params.List {
+		if len(field.Names) == 1 && typeName(pass.TypeOf(field.Type)) == "Values" {
+			return field.Names[0]
+		}
 	}
-	last := ft.Params.List[len(ft.Params.List)-1]
-	if len(last.Names) == 0 {
-		return nil
-	}
-	t := pass.TypeOf(last.Type)
-	sl, ok := t.(*types.Slice)
-	if !ok {
-		return nil
-	}
-	if _, ok := sl.Elem().Underlying().(*types.Interface); !ok {
-		return nil
-	}
-	return last.Names[len(last.Names)-1]
+	return nil
 }
 
 // calleeName extracts the bare name of a called/converted identifier
-// (mr.ReducerFunc → "ReducerFunc").
+// (mr.TypedReducerFunc → "TypedReducerFunc").
 func calleeName(fun ast.Expr) string {
 	switch f := fun.(type) {
 	case *ast.Ident:
@@ -126,28 +111,20 @@ func typeName(t types.Type) string {
 	return ""
 }
 
-// unwrapConversion strips a single wrapping conversion like
-// mr.ReducerFunc(func(...){...}) down to its operand.
-func unwrapConversion(e ast.Expr) ast.Expr {
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		return call.Args[0]
-	}
-	return e
-}
-
-// checkReducerBody flags writes through the values parameter or its
-// reference aliases, and escapes of those aliases.
+// checkReducerBody flags writes through the aliases of the values
+// parameter, and escapes of those aliases.
 func checkReducerBody(pass *Pass, body *ast.BlockStmt, values *ast.Ident) {
 	valuesObj := pass.Info.Defs[values]
 	if valuesObj == nil {
 		return
 	}
 	// aliases maps objects that reference the shared shuffled data: the
-	// parameter itself, range variables over it, and locals bound to its
-	// elements when the element type is a reference (slice/map/pointer).
+	// parameter itself and locals bound to what values.Value(i) returns —
+	// directly, through a reference-typed assertion, or as range variables
+	// over such a value.
 	aliases := map[types.Object]bool{valuesObj: true}
 	isAlias := func(e ast.Expr) bool {
-		root := rootIdent(e)
+		root := sharedRoot(e)
 		if root == nil {
 			return false
 		}
@@ -178,7 +155,10 @@ func checkReducerBody(pass *Pass, body *ast.BlockStmt, values *ast.Ident) {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, rhs := range n.Rhs {
-					if i >= len(n.Lhs) || !isAlias(rhs) || !refType(pass.TypeOf(rhs)) {
+					// An `any` from values.Value(i) aliases too: it still
+					// holds the slice or pointer a later assertion exposes.
+					t := pass.TypeOf(rhs)
+					if i >= len(n.Lhs) || !isAlias(rhs) || !(refType(t) || types.IsInterface(t)) {
 						continue
 					}
 					if id, ok := n.Lhs[i].(*ast.Ident); ok {
@@ -215,13 +195,13 @@ func checkReducerBody(pass *Pass, body *ast.BlockStmt, values *ast.Ident) {
 		case *ast.IndexExpr:
 			if isAlias(l.X) {
 				pass.Reportf(target.Pos(),
-					"reducer assigns through its shared values slice (%s) — a retried attempt re-reads the same bucket, so accumulate into fresh state instead",
+					"reducer assigns through a shared shuffled value (%s) — a retried attempt re-reads the same bucket, so accumulate into fresh state instead",
 					pass.ExprString(target))
 			}
 		case *ast.StarExpr:
 			if isAlias(l.X) {
 				pass.Reportf(target.Pos(),
-					"reducer writes through a pointer shipped in its values slice (%s) — shuffled values are shared across retries",
+					"reducer writes through a pointer shipped in its values (%s) — shuffled values are shared across retries",
 					pass.ExprString(target))
 			}
 		case *ast.SelectorExpr:
@@ -244,7 +224,7 @@ func checkReducerBody(pass *Pass, body *ast.BlockStmt, values *ast.Ident) {
 				if i < len(n.Rhs) {
 					if call, ok := n.Rhs[i].(*ast.CallExpr); ok && isBuiltinAppend(pass, call) && len(call.Args) > 0 && isAlias(call.Args[0]) {
 						pass.Reportf(n.Rhs[i].Pos(),
-							"append to an alias of the shared values slice (%s) can write into its backing array — copy into fresh state instead",
+							"append to an alias of a shared shuffled value (%s) can write into its backing array — copy into fresh state instead",
 							pass.ExprString(call.Args[0]))
 					}
 				}
@@ -257,16 +237,26 @@ func checkReducerBody(pass *Pass, body *ast.BlockStmt, values *ast.Ident) {
 				return true
 			}
 			for _, arg := range n.Args {
-				if root := rootIdent(arg); root != nil {
-					obj := pass.Info.Uses[root]
-					if obj != nil && aliases[obj] && refType(pass.TypeOf(arg)) {
-						pass.Reportf(arg.Pos(),
-							"reducer emits an alias of its shared values slice (%s) — the output would share backing state with the shuffle buffer; emit a copy",
-							pass.ExprString(arg))
-					}
+				if isAlias(arg) && refType(pass.TypeOf(arg)) {
+					pass.Reportf(arg.Pos(),
+						"reducer emits an alias of a shared shuffled value (%s) — the output would share backing state with the shuffle buffer; emit a copy",
+						pass.ExprString(arg))
 				}
 			}
 		}
 		return true
 	})
+}
+
+// sharedRoot is rootIdent seen through Value method calls, so
+// values.Value(0).([]int64)[j] roots at values.
+func sharedRoot(e ast.Expr) *ast.Ident {
+	e = unwrapChain(e)
+	if call, ok := e.(*ast.CallExpr); ok {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Value" {
+			return sharedRoot(sel.X)
+		}
+	}
+	id, _ := e.(*ast.Ident)
+	return id
 }

@@ -25,58 +25,50 @@ import (
 // file survives the teardown.
 
 func init() {
-	// conf-wordcount: wordcount with a combiner; spec picks the boxed or
-	// typed surface (same data either way).
+	// conf-wordcount: wordcount with a combiner; spec picks the any lane
+	// (one-element []int64 counts through ctx.Emit, CombineEmit.Emit and
+	// Values.Value — tagAny through spill and wire) or the int64 lane. Both
+	// reduce to the same int64 output.
 	RegisterJobImpl("conf-wordcount", func(spec []byte) (JobFuncs, error) {
 		typed := string(spec) == "typed"
-		f := JobFuncs{
+		count := func(values Values, i int) int64 {
+			if typed {
+				return values.Int64(i)
+			}
+			return values.Value(i).([]int64)[0]
+		}
+		sum := func(values Values) int64 {
+			var s int64
+			for i := 0; i < values.Len(); i++ {
+				s += count(values, i)
+			}
+			return s
+		}
+		return JobFuncs{
 			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
 				k := fmt.Sprintf("k%02d", int(row[0])%17)
 				if typed {
 					ctx.EmitI64(k, 1)
 					ctx.EmitI64("total", 1)
 				} else {
-					ctx.Emit(k, int64(1))
-					ctx.Emit("total", int64(1))
+					ctx.Emit(k, []int64{1})
+					ctx.Emit("total", []int64{1})
 				}
 				return nil
 			}),
-		}
-		if typed {
-			f.TypedCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
-				var s int64
-				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
+			TypedCombiner: TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
+				if typed {
+					out.EmitI64(sum(values))
+				} else {
+					out.Emit([]int64{sum(values)})
 				}
-				out.EmitI64(s)
 				return nil
-			})
-			f.TypedReducer = TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
-				var s int64
-				for i := 0; i < values.Len(); i++ {
-					s += values.Int64(i)
-				}
-				ctx.EmitI64(key, s)
+			}),
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
+				ctx.EmitI64(key, sum(values))
 				return nil
-			})
-		} else {
-			f.Combiner = CombinerFunc(func(key string, values []any) ([]any, error) {
-				var s int64
-				for _, v := range values {
-					s += v.(int64)
-				}
-				return []any{s}, nil
-			})
-			f.Reducer = ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-				var s int64
-				for _, v := range values {
-					s += v.(int64)
-				}
-				ctx.Emit(key, s)
-				return nil
-			})
-		}
-		return f, nil
+			}),
+		}, nil
 	})
 
 	// conf-nocombine: no combiner — the config under which the multiprocess
@@ -131,10 +123,10 @@ func init() {
 				ctx.Emit(k, []float64{row[0] * scale, float64(bias)})
 				return nil
 			}),
-			Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 				var s float64
-				for _, v := range values {
-					for _, x := range v.([]float64) {
+				for i := 0; i < values.Len(); i++ {
+					for _, x := range values.Value(i).([]float64) {
 						s += x
 					}
 				}
@@ -246,7 +238,7 @@ func TestBackendConformance(t *testing.T) {
 		name string
 		mk   func() *Job
 	}{
-		{"wordcount-boxed", func() *Job { return confJob("conf-wordcount", "boxed", n, numSplits, numReducers) }},
+		{"wordcount-any", func() *Job { return confJob("conf-wordcount", "any", n, numSplits, numReducers) }},
 		{"wordcount-typed", func() *Job { return confJob("conf-wordcount", "typed", n, numSplits, numReducers) }},
 		{"nocombine", func() *Job { return confJob("conf-nocombine", "", n, numSplits, numReducers) }},
 		{"maponly", func() *Job { return confJob("conf-maponly", "", n, numSplits, 0) }},

@@ -68,14 +68,6 @@ func (e *Engine) LastProcStats() (ProcStats, bool) {
 	return *e.lastProc, true
 }
 
-// pointW is Engine.point with a worker attribution, for spans and events
-// the multiprocess backend can pin to a worker process.
-func (e *Engine) pointW(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64, worker string) {
-	//lint:allow tracenil every caller gates on e.cfg.Tracer != nil before paying for this call's arguments
-	e.cfg.Tracer.Point(obs.Point{Span: span, Kind: kind, Name: name,
-		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds, Worker: worker})
-}
-
 // workerProc is one live worker process and its two protocol pipes. A
 // worker is owned by at most one task goroutine at a time (acquire /
 // release), so its streams need no locking.
@@ -185,12 +177,13 @@ func (w *workerProc) wait() error {
 	return w.waitErr
 }
 
-// mapResult is a committed map attempt's driver-side output: either spill
-// segments (shuffling jobs) or streamed pairs (map-only jobs).
-type mapResult struct {
-	pairs     []Pair
-	segs      []segmentRef
-	midSpills int
+// attemptReply is a worker's reply to one committed attempt: streamed
+// output pairs (map-only and reduce attempts) and the done frame. A reduce
+// attempt's doneFrame decodes into the same struct — gob matches fields by
+// name — leaving the segment fields empty.
+type attemptReply struct {
+	pairs []Pair
+	done  mapDoneFrame
 }
 
 // procRun is the per-Run state of the multiprocess backend: the worker
@@ -225,7 +218,7 @@ func newProcRun(rc *runContext) (*procRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mr: multiprocess backend: spill dir: %w", err)
 	}
-	hasCombiner := job.Combiner != nil || job.TypedCombiner != nil
+	hasCombiner := job.TypedCombiner != nil
 	telSample := e.cfg.TelemetrySample
 	if telSample <= 0 {
 		telSample = 250 * time.Millisecond
@@ -414,19 +407,21 @@ func (p *procRun) sendTask(w *workerProc, typ byte, frame any) error {
 	return w.bw.Flush()
 }
 
-// runMapTask is the multiprocess mirror of Engine.runMapTask: the same
-// retry loop, with each attempt bound to a worker process.
-func (p *procRun) runMapTask(split *Split, mapOnly bool, jobSpan obs.SpanID, cancel <-chan struct{}) (mapResult, Counters, faultCharge, error) {
+// runTask is the multiprocess mirror of Engine.runMapTask and
+// runReduceTask: the same retry loop, with each attempt bound to a worker
+// process.
+func (p *procRun) runTask(phase TaskPhase, taskID int, jobSpan obs.SpanID, cancel <-chan struct{},
+	attempt func(w *workerProc, attempt int, span obs.SpanID) (attemptReply, Counters, float64, error)) (attemptReply, Counters, faultCharge, error) {
 	var cur string
-	return runTaskAttempts(p.e, p.job, PhaseMap, split.ID, jobSpan, cancel,
+	return runTaskAttempts(p.e, p.job, phase, taskID, jobSpan, cancel,
 		func() string { return cur },
-		func(attempt int, span obs.SpanID) (mapResult, Counters, float64, error) {
+		func(n int, span obs.SpanID) (attemptReply, Counters, float64, error) {
 			w, err := p.acquire()
 			if err != nil {
-				return mapResult{}, Counters{}, 0, err
+				return attemptReply{}, Counters{}, 0, err
 			}
 			cur = w.name
-			return p.mapAttempt(w, split, attempt, span, mapOnly)
+			return attempt(w, n, span)
 		})
 }
 
@@ -435,200 +430,94 @@ func (p *procRun) runMapTask(split *Split, mapOnly bool, jobSpan obs.SpanID, can
 // decision first, the combine decision only if the map loop would survive
 // — and ship to the worker as exact kill indices, so a multiprocess run
 // consumes the FaultPlan identically to an in-process one.
-func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.SpanID, mapOnly bool) (mapResult, Counters, float64, error) {
+func (p *procRun) mapAttempt(w *workerProc, split *Split, attempt int, span obs.SpanID, mapOnly bool) (attemptReply, Counters, float64, error) {
 	e, job := p.e, p.job
-	var straggler float64
-	killAt := -1
+	straggler, killAt := e.decideMap(job.Name, split.ID, attempt, split.NumRows(), span, w.name)
 	combineKill := false
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseMap, split.ID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.pointW(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseMap, straggler, w.name)
-		}
-		if d.Fail {
-			killAt = failIndex(d.FailFrac, split.NumRows())
-		}
-		if killAt == -1 && p.hasCombiner && !mapOnly {
-			dc := e.cfg.Faults.Decide(job.Name, PhaseCombine, split.ID, attempt)
-			straggler += dc.StragglerSeconds
-			if dc.StragglerSeconds > 0 && e.cfg.Tracer != nil {
-				e.pointW(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseCombine, dc.StragglerSeconds, w.name)
-			}
-			combineKill = dc.Fail
-		}
+	if killAt == -1 && p.hasCombiner && !mapOnly {
+		var s float64
+		s, combineKill = e.decideCombine(job.Name, split.ID, attempt, span, w.name)
+		straggler += s
 	}
-	err := p.sendTask(w, fMapTask, mapTaskFrame{
+	killPhase := PhaseMap
+	if combineKill {
+		killPhase = PhaseCombine
+	}
+	rep, c, err := p.runOnWorker(w, fMapTask, mapTaskFrame{
 		Task: split.ID, Attempt: attempt,
 		Offset: split.Offset, Dim: split.Dim, Rows: split.Rows,
 		KillAt: killAt, CombineKill: combineKill,
-	})
-	if err != nil {
-		p.reap(w)
-		return mapResult{}, Counters{}, straggler, errInjectedFailure
-	}
-
-	var res mapResult
-	for {
-		typ, data, err := readFrame(w.br)
-		if err != nil {
-			// The worker vanished without a dying frame: a real crash. Reap
-			// it and retry the attempt; its counters are unknown, so the
-			// charge is the retry itself, not wasted counters.
-			p.reap(w)
-			return mapResult{}, Counters{}, straggler, errInjectedFailure
-		}
-		switch typ {
-		case fPairs:
-			var pf pairsFrame
-			if err := decodeFrame(data, &pf); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			res.pairs, err = decodePairs(res.pairs, pf.Data)
-			if err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-		case fTelemetry:
-			if err := p.emitTelemetry(w, span, split.ID, attempt, data); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-		case fMapDone:
-			var df mapDoneFrame
-			if err := decodeFrame(data, &df); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			res.segs = df.Segments
-			res.midSpills = df.MidSpills
-			p.release(w)
-			return res, df.Counters, straggler, nil
-		case fDying:
-			var df dyingFrame
-			if err := decodeFrame(data, &df); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, errInjectedFailure
-			}
-			if e.cfg.Tracer != nil {
-				phase := PhaseMap
-				if combineKill {
-					phase = PhaseCombine
-				}
-				e.pointW(span, obs.PointFault, job.Name, split.ID, attempt, phase, 0, w.name)
-			}
-			p.reap(w)
-			return mapResult{}, df.Counters, straggler, errInjectedFailure
-		case fTaskErr:
-			var ef errFrame
-			if err := decodeFrame(data, &ef); err != nil {
-				p.reap(w)
-				return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			p.release(w)
-			return mapResult{}, Counters{}, straggler, errors.New(ef.Msg)
-		default:
-			p.reap(w)
-			return mapResult{}, Counters{}, straggler, fmt.Errorf("mr: worker %s: unexpected frame 0x%02x", w.name, typ)
-		}
-	}
-}
-
-// runReduceTask mirrors Engine.runReduceTask over a worker process.
-func (p *procRun) runReduceTask(taskID int, segs []segmentRef, records int64, jobSpan obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, faultCharge, error) {
-	var cur string
-	return runTaskAttempts(p.e, p.job, PhaseReduce, taskID, jobSpan, cancel,
-		func() string { return cur },
-		func(attempt int, span obs.SpanID) ([]Pair, Counters, float64, error) {
-			w, err := p.acquire()
-			if err != nil {
-				return nil, Counters{}, 0, err
-			}
-			cur = w.name
-			return p.reduceAttempt(w, taskID, segs, records, attempt, span)
-		})
+	}, fMapDone, split.ID, attempt, span, killPhase)
+	return rep, c, straggler, err
 }
 
 // reduceAttempt runs one reduce attempt on w. The kill threshold is the
 // same consumed-records index tryReduceTask derives from the plan.
-func (p *procRun) reduceAttempt(w *workerProc, taskID int, segs []segmentRef, records int64, attempt int, span obs.SpanID) ([]Pair, Counters, float64, error) {
-	e, job := p.e, p.job
-	var straggler float64
-	killAt := -1
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseReduce, taskID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.pointW(span, obs.PointStraggler, job.Name, taskID, attempt, PhaseReduce, straggler, w.name)
-		}
-		if d.Fail {
-			killAt = failIndex(d.FailFrac, int(records))
-		}
-	}
-	err := p.sendTask(w, fReduceTask, reduceTaskFrame{
+func (p *procRun) reduceAttempt(w *workerProc, taskID int, segs []segmentRef, records int64, attempt int, span obs.SpanID) (attemptReply, Counters, float64, error) {
+	straggler, killAt := p.e.decideReduce(p.job.Name, taskID, attempt, int(records), span, w.name)
+	rep, c, err := p.runOnWorker(w, fReduceTask, reduceTaskFrame{
 		Task: taskID, Attempt: attempt, KillAt: killAt,
 		Segments: segs, TotalRecords: records,
-	})
-	if err != nil {
-		p.reap(w)
-		return nil, Counters{}, straggler, errInjectedFailure
-	}
+	}, fReduceDone, taskID, attempt, span, PhaseReduce)
+	return rep, c, straggler, err
+}
 
-	var pairs []Pair
+// runOnWorker is the driver side of one attempt on w, shared by map and
+// reduce tasks: it ships the task frame, then folds the worker's result
+// stream — pairs, telemetry — until the attempt commits with a doneTyp
+// frame, dies at an injected kill point (a dying frame whose partial
+// counters become wasted work, traced as a killPhase fault), or reports a
+// real error. A worker that vanishes without a dying frame is a real
+// crash: it is reaped and the attempt retried; its counters are unknown, so
+// the charge is the retry itself, not wasted counters.
+func (p *procRun) runOnWorker(w *workerProc, typ byte, frame any, doneTyp byte, task, attempt int, span obs.SpanID, killPhase TaskPhase) (attemptReply, Counters, error) {
+	if err := p.sendTask(w, typ, frame); err != nil {
+		p.reap(w)
+		return attemptReply{}, Counters{}, errInjectedFailure
+	}
+	var rep attemptReply
 	for {
-		typ, data, err := readFrame(w.br)
+		ft, data, err := readFrame(w.br)
 		if err != nil {
 			p.reap(w)
-			return nil, Counters{}, straggler, errInjectedFailure
+			return attemptReply{}, Counters{}, errInjectedFailure
 		}
-		switch typ {
+		switch ft {
 		case fPairs:
 			var pf pairsFrame
-			if err := decodeFrame(data, &pf); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			pairs, err = decodePairs(pairs, pf.Data)
-			if err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+			if err = decodeFrame(data, &pf); err == nil {
+				rep.pairs, err = decodePairs(rep.pairs, pf.Data)
 			}
 		case fTelemetry:
-			if err := p.emitTelemetry(w, span, taskID, attempt, data); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+			err = p.emitTelemetry(w, span, task, attempt, data)
+		case doneTyp:
+			if err = decodeFrame(data, &rep.done); err == nil {
+				p.release(w)
+				return rep, rep.done.Counters, nil
 			}
-		case fReduceDone:
-			var df doneFrame
-			if err := decodeFrame(data, &df); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
-			}
-			p.release(w)
-			return pairs, df.Counters, straggler, nil
 		case fDying:
 			var df dyingFrame
-			if err := decodeFrame(data, &df); err != nil {
+			if decodeFrame(data, &df) != nil {
 				p.reap(w)
-				return nil, Counters{}, straggler, errInjectedFailure
+				return attemptReply{}, Counters{}, errInjectedFailure
 			}
-			if e.cfg.Tracer != nil {
-				e.pointW(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0, w.name)
+			if p.e.cfg.Tracer != nil {
+				p.e.pointW(span, obs.PointFault, p.job.Name, task, attempt, killPhase, 0, w.name)
 			}
 			p.reap(w)
-			return nil, df.Counters, straggler, errInjectedFailure
+			return attemptReply{}, df.Counters, errInjectedFailure
 		case fTaskErr:
 			var ef errFrame
-			if err := decodeFrame(data, &ef); err != nil {
-				p.reap(w)
-				return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: %w", w.name, err)
+			if err = decodeFrame(data, &ef); err == nil {
+				p.release(w)
+				return attemptReply{}, Counters{}, errors.New(ef.Msg)
 			}
-			p.release(w)
-			return nil, Counters{}, straggler, errors.New(ef.Msg)
 		default:
+			err = fmt.Errorf("unexpected frame 0x%02x", ft)
+		}
+		if err != nil {
 			p.reap(w)
-			return nil, Counters{}, straggler, fmt.Errorf("mr: worker %s: unexpected frame 0x%02x", w.name, typ)
+			return attemptReply{}, Counters{}, fmt.Errorf("mr: worker %s: %w", w.name, err)
 		}
 	}
 }
@@ -647,7 +536,7 @@ func (multiprocBackend) execute(rc *runContext) ([]Pair, Counters, faultCharge, 
 	defer p.teardown()
 
 	// --- Map phase: same launch loop and slot scheme as in-process -------
-	mapRes := make([]mapResult, len(job.Splits))
+	mapRes := make([]attemptReply, len(job.Splits))
 	mapCounters := make([]Counters, len(job.Splits))
 	mapFaults := make([]faultCharge, len(job.Splits))
 	var wg sync.WaitGroup
@@ -662,7 +551,10 @@ mapLaunch:
 		go func(i int, split *Split) {
 			defer wg.Done()
 			defer func() { <-e.sem }()
-			res, c, fc, err := p.runMapTask(split, rc.mapOnly, rc.jobSpan, rc.cancelCh)
+			res, c, fc, err := p.runTask(PhaseMap, split.ID, rc.jobSpan, rc.cancelCh,
+				func(w *workerProc, attempt int, span obs.SpanID) (attemptReply, Counters, float64, error) {
+					return p.mapAttempt(w, split, attempt, span, rc.mapOnly)
+				})
 			mapFaults[i] = fc
 			if err != nil {
 				if !errors.Is(err, errTaskCancelled) {
@@ -715,11 +607,11 @@ mapLaunch:
 	partSegs := make([][]segmentRef, rc.numReducers)
 	partRecs := make([]int64, rc.numReducers)
 	for i := range mapRes {
-		if len(mapRes[i].segs) > 0 {
+		if len(mapRes[i].done.Segments) > 0 {
 			p.stats.SpillFiles++
 		}
-		p.stats.MidTaskSpills += mapRes[i].midSpills
-		for _, s := range mapRes[i].segs {
+		p.stats.MidTaskSpills += mapRes[i].done.MidSpills
+		for _, s := range mapRes[i].done.Segments {
 			p.stats.Segments++
 			p.stats.SpilledBytes += s.Length
 			partSegs[s.Part] = append(partSegs[s.Part], s)
@@ -753,7 +645,10 @@ redLaunch:
 		go func(r int) {
 			defer rwg.Done()
 			defer func() { <-e.sem }()
-			pout, c, fc, err := p.runReduceTask(r, partSegs[r], partRecs[r], rc.jobSpan, rc.cancelCh)
+			rep, c, fc, err := p.runTask(PhaseReduce, r, rc.jobSpan, rc.cancelCh,
+				func(w *workerProc, attempt int, span obs.SpanID) (attemptReply, Counters, float64, error) {
+					return p.reduceAttempt(w, r, partSegs[r], partRecs[r], attempt, span)
+				})
 			redFaults[r] = fc
 			if err != nil {
 				if !errors.Is(err, errTaskCancelled) {
@@ -761,7 +656,7 @@ redLaunch:
 				}
 				return
 			}
-			redOuts[r] = pout
+			redOuts[r] = rep.pairs
 			redCounters[r] = c
 		}(r)
 	}

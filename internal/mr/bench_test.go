@@ -22,10 +22,8 @@ import (
 //   - WideKey: shuffle-heavy with ~64-byte keys. Measures the per-byte cost
 //     of key interning and grouping.
 //
-// The primary benchmarks drive the typed emit plane (EmitF64 +
+// The benchmarks drive the typed emit plane (EmitF64 +
 // TypedReducer/TypedCombiner) — the path the pipeline's own jobs use.
-// ShuffleHeavyBoxed keeps the boxed-compat shim measurable so its overhead
-// stays visible in bench diffs.
 //
 // Each engine benchmark runs one untimed warmup job before ResetTimer so the
 // engine's buffer pools reach steady state; at -benchtime 1x the first
@@ -80,17 +78,6 @@ func benchSumTypedReducer() TypedReducer {
 			s += values.Float64(i)
 		}
 		ctx.EmitF64(key, s)
-		return nil
-	})
-}
-
-func benchSumBoxedReducer() Reducer {
-	return ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-		var s float64
-		for _, v := range values {
-			s += v.(float64)
-		}
-		ctx.Emit(key, s)
 		return nil
 	})
 }
@@ -174,33 +161,6 @@ func benchShuffleEngine(b *testing.B, keys []string, combiner TypedCombiner, eng
 
 func BenchmarkShuffleHeavy(b *testing.B) {
 	benchShuffle(b, benchKeys(512, 0), nil)
-}
-
-// BenchmarkShuffleHeavyBoxed is the same shape on the boxed-compat shim:
-// record-at-a-time any emission plus a []any reducer. The gap between this
-// and ShuffleHeavy is the price legacy jobs pay for staying unmigrated.
-func BenchmarkShuffleHeavyBoxed(b *testing.B) {
-	keys := benchKeys(512, 0)
-	splits := benchMakeSplits(benchRows, benchDim, benchSplits)
-	// Pre-boxed values: interface boxing of a fresh float64 per emit is a
-	// mapper-side cost, and folding it in would mask the engine's own
-	// allocation behaviour (the thing under test).
-	vals := make([]any, len(keys))
-	for i := range vals {
-		vals[i] = float64(i%13) * 0.25
-	}
-	engine := NewEngine(Config{Parallelism: benchPar, NumReducers: 4})
-	benchRunJob(b, engine, func() *Job {
-		return &Job{
-			Name:   "bench-shuffle-boxed",
-			Splits: splits,
-			Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-				ctx.Emit(keys[global%len(keys)], vals[global%len(vals)])
-				return nil
-			}),
-			Reducer: benchSumBoxedReducer(),
-		}
-	}, len(keys))
 }
 
 func BenchmarkCombinerOff(b *testing.B) {

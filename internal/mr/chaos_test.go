@@ -12,40 +12,44 @@ import (
 
 // chaosJob builds the reference job for engine-level chaos runs: a
 // wordcount-shaped map/combine/reduce over sequential data with enough keys
-// to spread across reducers. Retry-safe by construction (stateless mapper,
-// non-mutating combiner/reducer).
+// to spread across reducers. Its counts ride the any lane as []int64
+// slices — ctx.Emit, CombineEmit.Emit, Values.Value — the way the
+// pipeline's vector jobs ship theirs, so the tagAny path stays covered.
+// Retry-safe by construction (stateless mapper, combiner and reducer read
+// shipped slices and build fresh ones).
 func chaosJob(n, numSplits, numReducers int) *Job {
+	sum := func(values Values) int64 {
+		var s int64
+		for i := 0; i < values.Len(); i++ {
+			s += values.Value(i).([]int64)[0]
+		}
+		return s
+	}
 	return &Job{
 		Name:   "chaos-wordcount",
 		Splits: makeSplits(n, numSplits),
 		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.Emit(fmt.Sprintf("k%02d", int(row[0])%17), int64(1))
-			ctx.Emit("total", int64(1))
+			ctx.Emit(fmt.Sprintf("k%02d", int(row[0])%17), []int64{1})
+			ctx.Emit("total", []int64{1})
 			return nil
 		}),
-		Combiner: CombinerFunc(func(key string, values []any) ([]any, error) {
-			var s int64
-			for _, v := range values {
-				s += v.(int64)
-			}
-			return []any{s}, nil
+		TypedCombiner: TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
+			out.Emit([]int64{sum(values)})
+			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
-			var s int64
-			for _, v := range values {
-				s += v.(int64)
-			}
-			ctx.Emit(key, s)
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
+			ctx.EmitI64(key, sum(values))
 			return nil
 		}),
 		NumReducers: numReducers,
 	}
 }
 
-// chaosTypedJob is chaosJob on the typed plane: same keys and counts, with
-// int64 values riding the unboxed lanes through a typed combiner and typed
-// reducer. It must produce bit-identical output and counters to chaosJob
-// (same job name, so fault plans inject the identical failure schedule).
+// chaosTypedJob is chaosJob on the scalar lanes: same keys and counts, with
+// int64 values riding unboxed through the combiner and reducer. A one-element
+// []int64 is charged the same 8 shuffle bytes as an int64, so it produces
+// bit-identical output and counters to chaosJob (same job name, so fault
+// plans inject the identical failure schedule).
 func chaosTypedJob(n, numSplits, numReducers int) *Job {
 	return &Job{
 		Name:   "chaos-wordcount",
@@ -133,7 +137,7 @@ func TestChaosJobBitIdenticalAcrossPlans(t *testing.T) {
 // cleared — so an attempt that reads a buffer it no longer owns, or a pool
 // return that races a live retry, corrupts output visibly rather than
 // passing by luck on zeroed memory. Back-to-back jobs on one engine under an
-// aggressive fault plan at parallelism {1,8}, boxed and typed, must stay
+// aggressive fault plan at parallelism {1,8}, any-lane and typed, must stay
 // bit-identical to the clean un-poisoned baseline, and no poison sentinel
 // may ever surface in job output.
 func TestChaosPoisonedPoolsRetrySafety(t *testing.T) {
@@ -147,7 +151,7 @@ func TestChaosPoisonedPoolsRetrySafety(t *testing.T) {
 		name string
 		mk   func() *Job
 	}{
-		{"boxed", func() *Job { return chaosJob(n, numSplits, numReducers) }},
+		{"any", func() *Job { return chaosJob(n, numSplits, numReducers) }},
 		{"typed", func() *Job { return chaosTypedJob(n, numSplits, numReducers) }},
 	}
 	for _, par := range []int{1, 8} {

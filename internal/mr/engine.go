@@ -278,20 +278,11 @@ func (e *Engine) Run(job *Job) (*Output, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	if job.Mapper == nil && job.NewMapper == nil {
-		return nil, fmt.Errorf("mr: job %q has no mapper", job.Name)
-	}
-	if job.Reducer != nil && job.TypedReducer != nil {
-		return nil, fmt.Errorf("mr: job %q sets both Reducer and TypedReducer", job.Name)
-	}
-	if job.Combiner != nil && job.TypedCombiner != nil {
-		return nil, fmt.Errorf("mr: job %q sets both Combiner and TypedCombiner", job.Name)
-	}
 	numReducers := job.NumReducers
 	if numReducers <= 0 {
 		numReducers = e.cfg.NumReducers
 	}
-	mapOnly := job.Reducer == nil && job.TypedReducer == nil
+	mapOnly := job.TypedReducer == nil
 	nb := numReducers
 	if mapOnly {
 		nb = 1
@@ -399,13 +390,61 @@ func (e *Engine) JobStatsByName() map[string]JobStats {
 	return out
 }
 
-// point emits a point event into the engine's tracer. Callers gate on
-// e.cfg.Tracer != nil so the untraced path pays nothing (not even the
-// TaskPhase→string conversion).
-func (e *Engine) point(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64) {
+// pointW emits a point event into the engine's tracer, attributed to a
+// worker process when the multiprocess backend can pin it to one (worker ""
+// otherwise). Callers gate on e.cfg.Tracer != nil so the untraced path pays
+// nothing (not even the TaskPhase→string conversion).
+func (e *Engine) pointW(span obs.SpanID, kind obs.PointKind, name string, task, attempt int, phase TaskPhase, seconds float64, worker string) {
 	//lint:allow tracenil every caller gates on e.cfg.Tracer != nil before paying for this call's arguments
 	e.cfg.Tracer.Point(obs.Point{Span: span, Kind: kind, Name: name,
-		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds})
+		Task: task, Attempt: attempt, Phase: phase.String(), Seconds: seconds, Worker: worker})
+}
+
+// The fault decision points of a task attempt, one helper each. Every
+// backend calls them at the same points of the attempt lifecycle — map
+// before the record loop, combine after it, reduce before the key loop — so
+// a FaultPlan is consumed identically everywhere. Each charges the plan's
+// straggler delay (traced as a PointStraggler) and returns where the
+// attempt dies; the caller decides what dying means (an injected error
+// in-process, a SIGKILL in a worker).
+
+// decideMap returns the map attempt's straggler charge and the record index
+// before which it dies (-1: it survives the record loop).
+func (e *Engine) decideMap(job string, task, attempt, rows int, span obs.SpanID, worker string) (float64, int) {
+	if e.cfg.Faults == nil {
+		return 0, -1
+	}
+	d := e.cfg.Faults.Decide(job, PhaseMap, task, attempt)
+	e.traceStraggler(d, job, task, attempt, PhaseMap, span, worker)
+	return d.StragglerSeconds, d.failAt(rows)
+}
+
+// decideCombine returns the combine pass's straggler charge and whether the
+// attempt dies before the combiner runs.
+func (e *Engine) decideCombine(job string, task, attempt int, span obs.SpanID, worker string) (float64, bool) {
+	if e.cfg.Faults == nil {
+		return 0, false
+	}
+	d := e.cfg.Faults.Decide(job, PhaseCombine, task, attempt)
+	e.traceStraggler(d, job, task, attempt, PhaseCombine, span, worker)
+	return d.StragglerSeconds, d.Fail
+}
+
+// decideReduce returns the reduce attempt's straggler charge and the count
+// of consumed input records at which it dies (-1: never).
+func (e *Engine) decideReduce(job string, task, attempt, records int, span obs.SpanID, worker string) (float64, int) {
+	if e.cfg.Faults == nil {
+		return 0, -1
+	}
+	d := e.cfg.Faults.Decide(job, PhaseReduce, task, attempt)
+	e.traceStraggler(d, job, task, attempt, PhaseReduce, span, worker)
+	return d.StragglerSeconds, d.failAt(records)
+}
+
+func (e *Engine) traceStraggler(d FaultDecision, job string, task, attempt int, phase TaskPhase, span obs.SpanID, worker string) {
+	if d.StragglerSeconds > 0 && e.cfg.Tracer != nil {
+		e.pointW(span, obs.PointStraggler, job, task, attempt, phase, d.StragglerSeconds, worker)
+	}
 }
 
 // runTaskAttempts drives one task's attempt loop, shared by map and reduce
@@ -436,7 +475,7 @@ func runTaskAttempts[T any](e *Engine, job *Job, phase TaskPhase, taskID int, pa
 	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
 		if cancelled(cancel) {
 			if tr != nil {
-				e.point(parent, obs.PointCancel, job.Name, taskID, attempt, phase, 0)
+				e.pointW(parent, obs.PointCancel, job.Name, taskID, attempt, phase, 0, "")
 			}
 			return zero, Counters{}, fc, errTaskCancelled
 		}
@@ -489,7 +528,7 @@ func runTaskAttempts[T any](e *Engine, job *Job, phase TaskPhase, taskID int, pa
 				RealSeconds: obs.Since(began).Seconds(), SimulatedSeconds: straggler,
 				Wasted: c, Worker: onWorker})
 			if attempt+1 < e.cfg.MaxAttempts {
-				e.point(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0)
+				e.pointW(parent, obs.PointRetry, job.Name, taskID, attempt, phase, 0, "")
 			}
 		}
 	}
@@ -515,29 +554,41 @@ func (e *Engine) runMapTask(job *Job, split *Split, mapOnly bool, nb, numReducer
 	return out, c, fc, nil
 }
 
-// tryMapTask runs one map attempt into st: records land pre-partitioned in
-// st.buckets with task-locally interned keys (see TaskContext.emitRec), and
-// the optional combiner folds each bucket in place before the attempt
-// commits.
+// tryMapTask runs one in-process map attempt into st. An injected failure
+// is an error here: the attempt's fault is traced and its partial counters
+// go back to runTaskAttempts as wasted work.
 func (e *Engine) tryMapTask(job *Job, split *Split, st *mapState, mapOnly bool, nb, attempt int, span obs.SpanID, cancel <-chan struct{}) (Counters, float64, error) {
+	straggler, failAt := e.decideMap(job.Name, split.ID, attempt, split.NumRows(), span, "")
+	c, phase, err := runMapAttempt(job, split, st, mapOnly, nb, failAt, cancel, func() bool {
+		s, fail := e.decideCombine(job.Name, split.ID, attempt, span, "")
+		straggler += s
+		return fail
+	}, 0, nil)
+	if errors.Is(err, errInjectedFailure) && e.cfg.Tracer != nil {
+		e.pointW(span, obs.PointFault, job.Name, split.ID, attempt, phase, 0, "")
+	}
+	return c, straggler, err
+}
+
+// runMapAttempt is the body of one map attempt on every backend: Setup, the
+// record loop, Cleanup, then the optional combiner, emitting into st (records
+// land pre-partitioned in st.buckets with task-locally interned keys; see
+// TaskContext.emitRec). It returns errInjectedFailure, with the phase it
+// died in, when the attempt reaches record failAt (-1: never) or when
+// combineFault — consulted only once the record loop survived — says the
+// combine pass dies. cancel is polled every 64 records (nil: never
+// cancelled).
+//
+// spill, when non-nil, is the multiprocess worker's mid-task spill: the
+// emit path then tracks the buffered bytes, and spill runs whenever they
+// reach spillLimit. The in-process path passes nil and pays one predictable
+// branch per record for it.
+func runMapAttempt(job *Job, split *Split, st *mapState, mapOnly bool, nb, failAt int, cancel <-chan struct{},
+	combineFault func() bool, spillLimit int64, spill func() error) (Counters, TaskPhase, error) {
 	var c Counters
-	// A retried attempt starts from an empty state; attempt 0's state came
+	// A retried attempt starts from an empty state; a fresh state comes
 	// reset from the pool, so this only walks empty buffers.
 	st.reset(false)
-	var straggler float64
-	failAt := -1
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseMap, split.ID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.point(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseMap, straggler)
-		}
-		if d.Fail {
-			// Fail partway through the split to exercise partial-output discard.
-			failAt = failIndex(d.FailFrac, split.NumRows())
-		}
-	}
-
 	mapper := job.Mapper
 	if job.NewMapper != nil {
 		mapper = job.NewMapper()
@@ -545,7 +596,8 @@ func (e *Engine) tryMapTask(job *Job, split *Split, st *mapState, mapOnly bool, 
 	// Shuffle accounting is folded into emit so records are traversed once;
 	// with a combiner the charge moves to combineBucket instead, because
 	// only post-combine records cross the (modeled) network.
-	hasCombiner := job.Combiner != nil || job.TypedCombiner != nil
+	combine := job.TypedCombiner != nil && !mapOnly
+	trackBuf := spill != nil
 	ctx := &TaskContext{
 		JobName:      job.Name,
 		TaskID:       split.ID,
@@ -554,107 +606,71 @@ func (e *Engine) tryMapTask(job *Job, split *Split, st *mapState, mapOnly bool, 
 		ms:           st,
 		counters:     &c,
 		numReducers:  nb,
-		chargeOnEmit: mapOnly || !hasCombiner,
+		chargeOnEmit: !combine,
+		trackBuf:     trackBuf,
 	}
 	if err := mapper.Setup(ctx); err != nil {
-		return c, straggler, err
+		return c, PhaseMap, err
 	}
 	n := split.NumRows()
 	for i := 0; i < n; i++ {
 		if i == failAt {
-			if e.cfg.Tracer != nil {
-				e.point(span, obs.PointFault, job.Name, split.ID, attempt, PhaseMap, 0)
-			}
-			return c, straggler, errInjectedFailure
+			return c, PhaseMap, errInjectedFailure
 		}
 		// Sampled cancellation poll: cheap enough to leave the record loop's
 		// throughput alone, frequent enough that a cancelled task yields its
 		// slot within a few dozen records.
 		if i&63 == 0 && cancelled(cancel) {
-			return c, straggler, errTaskCancelled
+			return c, PhaseMap, errTaskCancelled
 		}
 		c.MapInputRecords++
 		if err := mapper.Map(ctx, split.Offset+i, split.Row(i)); err != nil {
-			return c, straggler, err
+			return c, PhaseMap, err
+		}
+		if trackBuf && st.bufBytes >= spillLimit {
+			if err := spill(); err != nil {
+				return c, PhaseMap, err
+			}
 		}
 	}
 	if n == failAt {
-		if e.cfg.Tracer != nil {
-			e.point(span, obs.PointFault, job.Name, split.ID, attempt, PhaseMap, 0)
-		}
-		return c, straggler, errInjectedFailure
+		return c, PhaseMap, errInjectedFailure
 	}
 	if err := mapper.Cleanup(ctx); err != nil {
-		return c, straggler, err
+		return c, PhaseMap, err
 	}
-
-	if hasCombiner && !mapOnly {
-		if e.cfg.Faults != nil {
-			d := e.cfg.Faults.Decide(job.Name, PhaseCombine, split.ID, attempt)
-			straggler += d.StragglerSeconds
-			if d.StragglerSeconds > 0 && e.cfg.Tracer != nil {
-				e.point(span, obs.PointStraggler, job.Name, split.ID, attempt, PhaseCombine, d.StragglerSeconds)
-			}
-			if d.Fail {
-				if e.cfg.Tracer != nil {
-					e.point(span, obs.PointFault, job.Name, split.ID, attempt, PhaseCombine, 0)
-				}
-				return c, straggler, errInjectedFailure
-			}
+	if combine {
+		if combineFault() {
+			return c, PhaseCombine, errInjectedFailure
 		}
 		for r := range st.buckets {
-			if err := combineBucket(job, st, r, &c); err != nil {
-				return c, straggler, err
+			if err := combineBucket(job.TypedCombiner, st, r, &c); err != nil {
+				return c, PhaseCombine, err
 			}
 		}
 	}
-	return c, straggler, nil
+	return c, PhaseMap, nil
 }
 
 // combineBucket folds one reducer-bound buffer through the combiner via the
-// counting group over task-local key ids — no map[string][]any staging and,
-// on the typed path, no boxing. It charges ShuffledBytes for the surviving
-// records (the combiner's whole point is that only its output crosses the
-// network), then swaps the combined output in as the new bucket, recycling
-// the old bucket's storage as the next bucket's output buffer.
-func combineBucket(job *Job, st *mapState, r int, c *Counters) error {
+// counting group over task-local key ids — no map[string][]any staging and
+// no boxing. It charges ShuffledBytes for the surviving records (the
+// combiner's whole point is that only its output crosses the network), then
+// swaps the combined output in as the new bucket, recycling the old
+// bucket's storage as the next bucket's output buffer.
+func combineBucket(cb TypedCombiner, st *mapState, r int, c *Counters) error {
 	bucket := st.buckets[r]
 	if len(bucket) == 0 {
 		return nil
 	}
 	c.CombineInput += int64(len(bucket))
 	out := st.combineOut[:0]
-	var err error
-	if job.TypedCombiner != nil {
-		ce := CombineEmit{out: &out, c: c}
-		err = groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
-			ce.key = id
-			ce.keyLen = int64(len(st.tab.keys[id]))
-			return job.TypedCombiner.CombineTyped(st.tab.keys[id], Values{recs: grouped}, &ce)
-		})
-	} else {
-		// Boxed-compat path: box the bucket's values into one shared backing
-		// array (capacity-clamped per key), exactly like the pre-typed
-		// engine's groupSorted staging.
-		backing := make([]any, 0, len(bucket))
-		err = groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
-			start := len(backing)
-			for i := range grouped {
-				backing = append(backing, grouped[i].value())
-			}
-			k := st.tab.keys[id]
-			vs, err := job.Combiner.Combine(k, backing[start:len(backing):len(backing)])
-			if err != nil {
-				return err
-			}
-			for _, v := range vs {
-				out = append(out, rec{key: id, tag: tagAny, val: v})
-				c.CombineOutput++
-				c.ShuffledBytes += int64(len(k)) + approxValueBytes(v)
-			}
-			return nil
-		})
-	}
+	ce := CombineEmit{out: &out, c: c}
+	err := groupLocal(bucket, &st.tab, &st.sc, func(id uint32, grouped []rec) error {
+		ce.key = id
+		ce.keyLen = int64(len(st.tab.keys[id]))
+		return cb.CombineTyped(st.tab.keys[id], Values{recs: grouped}, &ce)
+	})
 	if err != nil {
 		return err
 	}
@@ -681,72 +697,63 @@ func (e *Engine) runReduceTask(job *Job, taskID int, run []rec, keys []string, j
 // guarantees) and invokes the reducer. Grouping is the counting sort of
 // groupRun over dense partition-local ids: no key string is hashed or
 // compared, and stability keeps value order deterministic (map-task order).
-// An injected failure aborts the key loop at a plan-chosen position,
-// discarding the attempt's partial output and counters exactly like a dying
-// Hadoop reduce attempt.
+// An injected failure discards the attempt's partial output and counters
+// exactly like a dying Hadoop reduce attempt; here it is traced and
+// returned as an error.
 func (e *Engine) tryReduceTask(job *Job, taskID int, run []rec, keys []string, sc *groupScratch, attempt int, span obs.SpanID, cancel <-chan struct{}) ([]Pair, Counters, float64, error) {
-	var c Counters
-	var straggler float64
-	failAt := -1 // threshold in consumed input records, -1 = never
-	if e.cfg.Faults != nil {
-		d := e.cfg.Faults.Decide(job.Name, PhaseReduce, taskID, attempt)
-		straggler = d.StragglerSeconds
-		if straggler > 0 && e.cfg.Tracer != nil {
-			e.point(span, obs.PointStraggler, job.Name, taskID, attempt, PhaseReduce, straggler)
+	straggler, failAt := e.decideReduce(job.Name, taskID, attempt, len(run), span, "")
+	a := newReduceAttempt(job, taskID, failAt, cancel)
+	if err := a.done(groupRun(run, keys, sc, a.key)); err != nil {
+		if errors.Is(err, errInjectedFailure) && e.cfg.Tracer != nil {
+			e.pointW(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0, "")
 		}
-		if d.Fail {
-			failAt = failIndex(d.FailFrac, len(run))
-		}
+		return nil, a.c, straggler, err
 	}
-	var out []Pair
-	ctx := &TaskContext{
-		JobName:  job.Name,
-		TaskID:   taskID,
-		cache:    job.Cache,
-		outPairs: &out,
+	return a.out, a.c, straggler, nil
+}
+
+// reduceAttempt is the per-key body of one reduce attempt on every backend,
+// fed by groupRun in-process and by mergeSegments in a worker. It counts
+// the attempt's input, polls cancellation, and stops the key loop at the
+// plan-chosen consumed-records threshold failAt (-1: never).
+type reduceAttempt struct {
+	ctx      TaskContext
+	reducer  TypedReducer
+	out      []Pair
+	c        Counters
+	failAt   int
+	consumed int
+	cancel   <-chan struct{}
+}
+
+func newReduceAttempt(job *Job, taskID, failAt int, cancel <-chan struct{}) *reduceAttempt {
+	a := &reduceAttempt{reducer: job.TypedReducer, failAt: failAt, cancel: cancel}
+	a.ctx = TaskContext{JobName: job.Name, TaskID: taskID, cache: job.Cache, outPairs: &a.out}
+	return a
+}
+
+func (a *reduceAttempt) dying() bool { return a.failAt >= 0 && a.consumed >= a.failAt }
+
+// key reduces one key's grouped values.
+func (a *reduceAttempt) key(k string, grouped []rec) error {
+	if a.dying() {
+		return errInjectedFailure
 	}
-	// Boxed-compat reducers get values boxed into one backing array per
-	// attempt (capacity-clamped per key). It is freshly allocated — never
-	// pooled — because the legacy Reducer contract predates the typed
-	// plane's no-retention rule, so a reducer may legitimately keep the
-	// slice it was handed.
-	var backing []any
-	if job.Reducer != nil {
-		backing = make([]any, 0, len(run))
+	if cancelled(a.cancel) {
+		return errTaskCancelled
 	}
-	consumed := 0
-	err := groupRun(run, keys, sc, func(k string, grouped []rec) error {
-		if failAt >= 0 && consumed >= failAt {
-			if e.cfg.Tracer != nil {
-				e.point(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0)
-			}
-			return errInjectedFailure
-		}
-		if cancelled(cancel) {
-			return errTaskCancelled
-		}
-		consumed += len(grouped)
-		c.ReduceInputKeys++
-		c.ReduceInputVals += int64(len(grouped))
-		if job.TypedReducer != nil {
-			return job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
-		}
-		start := len(backing)
-		for i := range grouped {
-			backing = append(backing, grouped[i].value())
-		}
-		return job.Reducer.Reduce(ctx, k, backing[start:len(backing):len(backing)])
-	})
-	if err != nil {
-		return nil, c, straggler, err
+	a.consumed += len(grouped)
+	a.c.ReduceInputKeys++
+	a.c.ReduceInputVals += int64(len(grouped))
+	return a.reducer.ReduceTyped(&a.ctx, k, Values{recs: grouped})
+}
+
+// done returns the key loop's error, or errInjectedFailure when the
+// threshold falls at the very end (FailFrac ≈ 1): the attempt then dies
+// after its last key, before its output is committed.
+func (a *reduceAttempt) done(err error) error {
+	if err == nil && a.dying() {
+		return errInjectedFailure
 	}
-	if failAt >= 0 && consumed >= failAt {
-		// FailFrac ≈ 1: the attempt dies after its last key, before the
-		// output is committed.
-		if e.cfg.Tracer != nil {
-			e.point(span, obs.PointFault, job.Name, taskID, attempt, PhaseReduce, 0)
-		}
-		return nil, c, straggler, errInjectedFailure
-	}
-	return out, c, straggler, nil
+	return err
 }

@@ -42,10 +42,10 @@ func TestWordCountStyleJob(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 			var sum int64
-			for _, v := range values {
-				sum += v.(int64)
+			for i := 0; i < values.Len(); i++ {
+				sum += values.Int64(i)
 			}
 			ctx.Emit(key, sum)
 			return nil
@@ -56,9 +56,10 @@ func TestWordCountStyleJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := out.Grouped()
-	if g["even"][0].(int64) != 500 || g["odd"][0].(int64) != 500 {
-		t.Fatalf("counts = %v", g)
+	even, _ := out.Single("even")
+	odd, _ := out.Single("odd")
+	if even != any(int64(500)) || odd != any(int64(500)) {
+		t.Fatalf("counts = %v", out.Pairs)
 	}
 	if out.Counters.MapInputRecords != 1000 {
 		t.Errorf("map input = %d", out.Counters.MapInputRecords)
@@ -97,30 +98,31 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 				ctx.Emit("sum", int64(1))
 				return nil
 			}),
-			Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 				var s int64
-				for _, v := range values {
-					s += v.(int64)
+				for i := 0; i < values.Len(); i++ {
+					s += values.Int64(i)
 				}
 				ctx.Emit(key, s)
 				return nil
 			}),
 		}
 		if withCombiner {
-			job.Combiner = CombinerFunc(func(key string, values []any) ([]any, error) {
+			job.TypedCombiner = TypedCombinerFunc(func(key string, values Values, out *CombineEmit) error {
 				var s int64
-				for _, v := range values {
-					s += v.(int64)
+				for i := 0; i < values.Len(); i++ {
+					s += values.Int64(i)
 				}
-				return []any{s}, nil
+				out.Emit(s)
+				return nil
 			})
 		}
 		out, err := engine.Run(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := out.Grouped()["sum"][0].(int64); got != 1000 {
-			t.Fatalf("sum = %d", got)
+		if got, ok := out.Single("sum"); !ok || got != any(int64(1000)) {
+			t.Fatalf("sum = %v", got)
 		}
 		return out.Counters
 	}
@@ -179,10 +181,10 @@ func TestDistributedCache(t *testing.T) {
 			ctx.Emit("sum", row[0]*f)
 			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 			s := 0.0
-			for _, v := range values {
-				s += v.(float64)
+			for i := 0; i < values.Len(); i++ {
+				s += values.Float64(i)
 			}
 			ctx.Emit(key, s)
 			return nil
@@ -192,8 +194,8 @@ func TestDistributedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Grouped()["sum"][0].(float64); got != 135 { // 3·(0+..+9)
-		t.Fatalf("sum = %g", got)
+	if got, ok := out.Single("sum"); !ok || got != any(135.0) { // 3·(0+..+9)
+		t.Fatalf("sum = %v", got)
 	}
 }
 
@@ -248,10 +250,10 @@ func TestFaultInjectionRetrySucceeds(t *testing.T) {
 			// retry must restart from zero.
 			return &sumMapper{}
 		},
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 			var s float64
-			for _, v := range values {
-				s += v.(float64)
+			for i := 0; i < values.Len(); i++ {
+				s += values.Float64(i)
 			}
 			ctx.Emit(key, s)
 			return nil
@@ -262,8 +264,8 @@ func TestFaultInjectionRetrySucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := float64(999*1000) / 2
-	if got := out.Grouped()["sum"][0].(float64); got != want {
-		t.Fatalf("sum = %g, want %g (retries corrupted state)", got, want)
+	if got, ok := out.Single("sum"); !ok || got != any(want) {
+		t.Fatalf("sum = %v, want %g (retries corrupted state)", got, want)
 	}
 	if out.Counters.TaskRetries == 0 {
 		t.Error("expected at least one injected retry at 50% failure rate")
@@ -303,7 +305,7 @@ func TestEngineAccounting(t *testing.T) {
 			ctx.Emit("k", int64(1))
 			return nil
 		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error { return nil }),
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error { return nil }),
 	}
 	out, err := engine.Run(job)
 	if err != nil {

@@ -141,6 +141,15 @@ func faultSeed(seed int64, job string, phase TaskPhase, task, attempt int) int64
 	return int64(h)
 }
 
+// failAt is where a decision aborts an attempt over n units of work: the
+// failIndex of a failing decision, -1 for a surviving one.
+func (d FaultDecision) failAt(n int) int {
+	if !d.Fail {
+		return -1
+	}
+	return failIndex(d.FailFrac, n)
+}
+
 // failIndex converts a FailFrac into a concrete abort position over n units
 // of work: 0 aborts before the first unit, n after the last.
 func failIndex(frac float64, n int) int {

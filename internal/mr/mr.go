@@ -80,34 +80,15 @@ func (f MapperFunc) Map(ctx *TaskContext, global int, row []float64) error {
 // Cleanup implements Mapper.
 func (f MapperFunc) Cleanup(*TaskContext) error { return nil }
 
-// Reducer aggregates all values of one key. Implementations must be
-// re-runnable: a failed reduce attempt is retried from the same shuffled
-// input, so reducers must treat values — and whatever the values reference,
-// e.g. shipped slices — as read-only. Folding into values[0] in place would
-// double-count on retry; accumulate into fresh state instead.
-//
-// This is the boxed-compat surface: the engine materializes each key's
-// values into a fresh []any per attempt. Hot reducers should implement
-// TypedReducer instead, which reads the shuffle's typed records directly.
-type Reducer interface {
-	Reduce(ctx *TaskContext, key string, values []any) error
-}
-
-// ReducerFunc adapts a plain function to the Reducer interface.
-type ReducerFunc func(ctx *TaskContext, key string, values []any) error
-
-// Reduce implements Reducer.
-func (f ReducerFunc) Reduce(ctx *TaskContext, key string, values []any) error {
-	return f(ctx, key, values)
-}
-
-// TypedReducer is the typed data plane's reduce surface: values arrive as a
-// Values view over the shuffle's records, so scalar payloads are read
-// without interface boxing. The Reducer contract carries over unchanged —
-// attempts are re-runnable, values are read-only — plus one addition: the
-// view (and any slice obtained from it) must not be retained after
-// ReduceTyped returns, because its backing buffers are recycled once the
-// job completes.
+// TypedReducer aggregates all values of one key. Values arrive as a Values
+// view over the shuffle's records, so scalar payloads are read without
+// interface boxing. Implementations must be re-runnable: a failed reduce
+// attempt is retried from the same shuffled input, so reducers must treat
+// values — and whatever the values reference, e.g. shipped slices — as
+// read-only. Folding into Value(0) in place would double-count on retry;
+// accumulate into fresh state instead. The view (and any slice obtained
+// from it) must not be retained after ReduceTyped returns, because its
+// backing buffers are recycled once the job completes.
 type TypedReducer interface {
 	ReduceTyped(ctx *TaskContext, key string, values Values) error
 }
@@ -120,24 +101,11 @@ func (f TypedReducerFunc) ReduceTyped(ctx *TaskContext, key string, values Value
 	return f(ctx, key, values)
 }
 
-// Combiner optionally folds mapper-local values of a key before the shuffle,
-// cutting shuffle volume exactly like a Hadoop combiner. This is the
-// boxed-compat surface; hot combiners should implement TypedCombiner.
-type Combiner interface {
-	Combine(key string, values []any) ([]any, error)
-}
-
-// CombinerFunc adapts a plain function to the Combiner interface.
-type CombinerFunc func(key string, values []any) ([]any, error)
-
-// Combine implements Combiner.
-func (f CombinerFunc) Combine(key string, values []any) ([]any, error) {
-	return f(key, values)
-}
-
-// TypedCombiner folds one key's mapper-local values without boxing: inputs
+// TypedCombiner optionally folds mapper-local values of a key before the
+// shuffle, cutting shuffle volume exactly like a Hadoop combiner. Inputs
 // arrive as a Values view, outputs leave through the key-bound CombineEmit.
-// Like Values everywhere, the view must not be retained after the call.
+// The TypedReducer contract applies: values are read-only and the view must
+// not be retained after the call.
 type TypedCombiner interface {
 	CombineTyped(key string, values Values, out *CombineEmit) error
 }
@@ -156,23 +124,18 @@ type Job struct {
 	Name string
 	// Splits is the input. A nil/empty slice yields an empty job output.
 	Splits []*Split
-	// Mapper is required. NewMapper, when set, is called once per task
-	// attempt to obtain a fresh Mapper (required for stateful mappers so
-	// retries start clean); otherwise Mapper is shared across tasks and must
-	// be stateless/concurrency-safe.
+	// Mapper, NewMapper and Impl (below) name the job's code; exactly one
+	// of them must be set. NewMapper is called once per task attempt to
+	// obtain a fresh Mapper (required for stateful mappers so retries start
+	// clean); a Mapper is shared across tasks and must be
+	// stateless/concurrency-safe.
 	Mapper    Mapper
 	NewMapper func() Mapper
-	// Reducer is optional. A map-only job (paper: the OD job of §5.5) leaves
-	// both it and TypedReducer nil and the mapper output is the job output.
-	// At most one of Reducer/TypedReducer may be set.
-	Reducer Reducer
-	// TypedReducer is the typed-plane alternative to Reducer: same key
-	// grouping and ordering guarantees, values delivered unboxed.
+	// TypedReducer is optional. A map-only job (paper: the OD job of §5.5)
+	// leaves it nil and the mapper output is the job output. Keys reach it
+	// in ascending order, values in map-task then emission order.
 	TypedReducer TypedReducer
-	// Combiner is optional. At most one of Combiner/TypedCombiner may be
-	// set.
-	Combiner Combiner
-	// TypedCombiner is the typed-plane alternative to Combiner.
+	// TypedCombiner is optional.
 	TypedCombiner TypedCombiner
 	// NumReducers defaults to the engine configuration. The paper's
 	// histogram and moment jobs use a single reducer.
@@ -186,10 +149,11 @@ type Job struct {
 	// Config.Tracer.
 	TraceParent obs.SpanID
 	// Impl names a registered job implementation (RegisterJobImpl) and Spec
-	// is its opaque parameter blob. When the mapper fields above are nil,
-	// Engine.Run resolves Impl into concrete funcs — on every backend — and
-	// the multiprocess backend *requires* it, because only a registered name
-	// (not a closure) can be shipped to a worker process and resolved there.
+	// is its opaque parameter blob. Engine.Run resolves Impl into concrete
+	// funcs on every backend, so an Impl job sets none of the code fields
+	// above. The multiprocess backend *requires* Impl, because only a
+	// registered name (not a closure) can be shipped to a worker process and
+	// resolved there.
 	Impl string
 	Spec []byte
 }
@@ -215,46 +179,6 @@ type Output struct {
 	SimulatedSeconds float64
 }
 
-// Grouped returns the output pairs grouped by key. All value slices share
-// one backing array sized in a first counting pass, so the whole grouping
-// costs three allocations instead of one growth chain per key; each key's
-// slice is capacity-clamped so appending to it cannot clobber a neighbour.
-func (o *Output) Grouped() map[string][]any {
-	counts := make(map[string]int, len(o.Pairs))
-	for _, p := range o.Pairs {
-		counts[p.Key]++
-	}
-	backing := make([]any, len(o.Pairs))
-	next := 0
-	g := make(map[string][]any, len(counts))
-	for _, p := range o.Pairs {
-		s, ok := g[p.Key]
-		if !ok {
-			n := counts[p.Key]
-			s = backing[next : next : next+n]
-			next += n
-		}
-		g[p.Key] = append(s, p.Value)
-	}
-	return g
-}
-
-// Groups returns the output grouped by key in ascending key order, via the
-// engine's stable counting group — no per-key map[string][]any growth
-// chains. o.Pairs is left unmodified; value order within a key is
-// preserved.
-func (o *Output) Groups() []Group {
-	if len(o.Pairs) == 0 {
-		return nil
-	}
-	groups := make([]Group, 0, 8)
-	groupSorted(o.Pairs, func(k string, vs []any) error {
-		groups = append(groups, Group{Key: k, Values: vs})
-		return nil
-	})
-	return groups
-}
-
 // Single returns the value of the given key and ok=false when absent or
 // duplicated.
 func (o *Output) Single(key string) (any, bool) {
@@ -276,9 +200,9 @@ type Counters = obs.Counters
 
 // TaskContext is handed to every task attempt. The Emit family routes a
 // (key, value) record into the shuffle (for mappers) or into the job output
-// (for reducers). EmitF64/EmitI64/EmitInt — and the generic Emit function,
-// which dispatches to them — carry scalar payloads through the shuffle
-// without boxing them into `any`; the Emit method is the boxed-compat lane.
+// (for reducers). EmitF64/EmitI64/EmitInt carry scalar payloads through
+// the shuffle without boxing them into `any`; Emit is the lane for
+// structured values (slices, structs).
 type TaskContext struct {
 	// JobName and TaskID identify the attempt.
 	JobName string
@@ -304,7 +228,7 @@ type TaskContext struct {
 // emitRec is the single funnel of every emit lane.
 func (ctx *TaskContext) emitRec(key string, tag valueTag, num uint64, val any) {
 	if ctx.ms == nil {
-		// Reduce side: job output is the boxed surface, so scalar lanes box
+		// Reduce side: job output is Output.Pairs, so scalar lanes box
 		// exactly once, here at the edge.
 		r := rec{tag: tag, num: num, val: val}
 		*ctx.outPairs = append(*ctx.outPairs, Pair{Key: key, Value: r.value()})
@@ -325,10 +249,10 @@ func (ctx *TaskContext) emitRec(key string, tag valueTag, num uint64, val any) {
 	ctx.ms.buckets[p] = append(ctx.ms.buckets[p], r)
 }
 
-// Emit outputs a (key, value) pair on the boxed-compat lane. Values the
-// caller already holds as `any` ship as-is; fresh scalars passed here box
-// at the call site — use EmitF64/EmitI64/EmitInt (or the generic Emit) on
-// hot paths instead.
+// Emit outputs a (key, value) pair on the any lane, the lane for
+// structured values. Values the caller already holds as `any` ship as-is;
+// fresh scalars passed here box at the call site — use
+// EmitF64/EmitI64/EmitInt on hot paths instead.
 func (ctx *TaskContext) Emit(key string, value any) {
 	ctx.emitRec(key, tagAny, 0, value)
 }
@@ -344,26 +268,9 @@ func (ctx *TaskContext) EmitI64(key string, value int64) {
 }
 
 // EmitInt outputs a (key, int) record with no boxing. The value round-trips
-// as an int (not int64) on the boxed surface.
+// as an int (not int64) through Values.Value and Output.Pairs.
 func (ctx *TaskContext) EmitInt(key string, value int) {
 	ctx.emitRec(key, tagInt, uint64(int64(value)), nil)
-}
-
-// Emit is the generic typed emit: scalar types dispatch to the unboxed
-// lanes at compile time, everything else ships on the boxed lane exactly
-// like ctx.Emit. Equivalent outputs either way — the typed lanes only
-// change what allocates, never what the reducer or Output.Pairs observes.
-func Emit[V any](ctx *TaskContext, key string, value V) {
-	switch v := any(value).(type) {
-	case float64:
-		ctx.EmitF64(key, v)
-	case int64:
-		ctx.EmitI64(key, v)
-	case int:
-		ctx.EmitInt(key, v)
-	default:
-		ctx.emitRec(key, tagAny, 0, v)
-	}
 }
 
 // Values is a typed, read-only view over one key's shuffled values, in the
@@ -381,8 +288,8 @@ type Values struct {
 // Len returns the number of values.
 func (v Values) Len() int { return len(v.recs) }
 
-// Float64 returns value i as a float64. Like values[i].(float64) on the
-// boxed surface, it panics when the value is not a float64.
+// Float64 returns value i as a float64. Like Value(i).(float64), it panics
+// when the value is not a float64.
 func (v Values) Float64(i int) float64 {
 	r := &v.recs[i]
 	if r.tag == tagF64 {
@@ -409,23 +316,14 @@ func (v Values) Int(i int) int {
 	return r.val.(int)
 }
 
-// Value returns value i boxed as `any` — the compat accessor for
-// structured payloads (slices, structs). Scalar lanes pay their boxing
-// allocation here, per call.
+// Value returns value i boxed as `any` — the accessor for structured
+// payloads (slices, structs). Scalar lanes pay their boxing allocation
+// here, per call.
 func (v Values) Value(i int) any { return v.recs[i].value() }
 
-// AppendBoxed appends every value, boxed, to dst — a convenience for code
-// mid-migration between the boxed and typed surfaces.
-func (v Values) AppendBoxed(dst []any) []any {
-	for i := range v.recs {
-		dst = append(dst, v.recs[i].value())
-	}
-	return dst
-}
-
 // CombineEmit collects a typed combiner's output for the one key being
-// combined, charging shuffle accounting exactly as the boxed combine path
-// does (only post-combine records cross the modeled network).
+// combined, charging shuffle accounting for what it emits (only
+// post-combine records cross the modeled network).
 type CombineEmit struct {
 	out    *[]rec
 	key    uint32
@@ -440,7 +338,7 @@ func (ce *CombineEmit) push(tag valueTag, num uint64, val any) {
 	*ce.out = append(*ce.out, r)
 }
 
-// Emit outputs one combined value on the boxed-compat lane.
+// Emit outputs one combined value on the any lane.
 func (ce *CombineEmit) Emit(value any) { ce.push(tagAny, 0, value) }
 
 // EmitF64 outputs one combined float64 with no boxing.

@@ -30,15 +30,15 @@ import (
 //     contract. Config.DebugPoisonPools overwrites buffers on return so any
 //     violation of that barrier corrupts output visibly in chaos tests.
 //
-// The boxed surface (Pair, Reducer, Combiner, Output.Pairs) is unchanged:
-// it is materialized from recs at the edges, so external jobs run as
-// before and all bit-identity oracles apply to the typed plane verbatim.
+// Values leave the plane boxed only at the edges — Values.Value and
+// Output.Pairs — so the bit-identity oracles observe boxed output while
+// the shuffle itself carries scalars unboxed.
 
 // valueTag discriminates the payload lanes of a rec.
 type valueTag uint8
 
 const (
-	// tagAny carries the value in rec.val (the boxed-compat lane).
+	// tagAny carries the value in rec.val (the lane of ctx.Emit).
 	tagAny valueTag = iota
 	// tagF64 carries math.Float64bits of a float64 in rec.num.
 	tagF64
@@ -59,9 +59,9 @@ type rec struct {
 	val any
 }
 
-// value boxes the payload back into the `any` the boxed-compat surface
-// expects. Scalar lanes pay their interface allocation here — at the edges
-// (Output.Pairs, legacy reducers) — never inside the shuffle.
+// value boxes the payload back into an `any`. Scalar lanes pay their
+// interface allocation here — at the edges (Output.Pairs, Values.Value) —
+// never inside the shuffle.
 func (r *rec) value() any {
 	switch r.tag {
 	case tagF64:
@@ -75,9 +75,9 @@ func (r *rec) value() any {
 	}
 }
 
-// bytes is the shuffle-accounting size of the payload, matching
-// approxValueBytes on the boxed lane so ShuffledBytes stays bit-identical
-// to the pre-typed engine.
+// bytes is the shuffle-accounting size of the payload: approxValueBytes on
+// the any lane, 8 on the scalar lanes, so ShuffledBytes does not depend on
+// which lane a scalar took.
 func (r *rec) bytes() int64 {
 	if r.tag == tagAny {
 		return approxValueBytes(r.val)

@@ -23,9 +23,7 @@ import (
 type JobFuncs struct {
 	Mapper        Mapper
 	NewMapper     func() Mapper
-	Reducer       Reducer
 	TypedReducer  TypedReducer
-	Combiner      Combiner
 	TypedCombiner TypedCombiner
 }
 
@@ -77,23 +75,29 @@ func buildImpl(name string, spec []byte) (JobFuncs, error) {
 	return build(spec)
 }
 
-// resolveJob materializes a Job's Impl reference into concrete funcs,
-// returning a shallow copy so the caller's Job is never mutated. Jobs
-// without an Impl (or with funcs already set) pass through unchanged.
+// resolveJob checks that a Job names its code exactly one way — Impl,
+// Mapper or NewMapper — and materializes an Impl reference into concrete
+// funcs, returning a shallow copy so the caller's Job is never mutated. An
+// Impl job may not also carry a reducer or combiner: the registered builder
+// supplies them, and a second source would run differently per backend.
 func resolveJob(job *Job) (*Job, error) {
-	if job.Impl == "" || job.Mapper != nil || job.NewMapper != nil {
-		return job, nil
+	if job.Impl != "" {
+		if job.Mapper != nil || job.NewMapper != nil || job.TypedReducer != nil || job.TypedCombiner != nil {
+			return nil, fmt.Errorf("mr: job %q sets Impl %q and code fields; name the job's code one way", job.Name, job.Impl)
+		}
+		funcs, err := buildImpl(job.Impl, job.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("mr: job %q: %w", job.Name, err)
+		}
+		j := *job
+		j.Mapper = funcs.Mapper
+		j.NewMapper = funcs.NewMapper
+		j.TypedReducer = funcs.TypedReducer
+		j.TypedCombiner = funcs.TypedCombiner
+		job = &j
 	}
-	funcs, err := buildImpl(job.Impl, job.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("mr: job %q: %w", job.Name, err)
+	if (job.Mapper == nil) == (job.NewMapper == nil) {
+		return nil, fmt.Errorf("mr: job %q must set exactly one of Impl, Mapper or NewMapper", job.Name)
 	}
-	j := *job
-	j.Mapper = funcs.Mapper
-	j.NewMapper = funcs.NewMapper
-	j.Reducer = funcs.Reducer
-	j.TypedReducer = funcs.TypedReducer
-	j.Combiner = funcs.Combiner
-	j.TypedCombiner = funcs.TypedCombiner
-	return &j, nil
+	return job, nil
 }

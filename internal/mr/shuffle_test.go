@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,7 +147,7 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 				ctx.Emit(fmt.Sprintf("k%03d", global%97), row[0]*0.1+0.3)
 				return nil
 			}),
-			Reducer: ReducerFunc(func(ctx *TaskContext, key string, values []any) error {
+			TypedReducer: TypedReducerFunc(func(ctx *TaskContext, key string, values Values) error {
 				mu.Lock()
 				if prev, ok := lastKey[ctx.TaskID]; ok && key <= prev {
 					mu.Unlock()
@@ -155,8 +156,8 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 				lastKey[ctx.TaskID] = key
 				mu.Unlock()
 				var s float64
-				for _, v := range values {
-					s += v.(float64)
+				for i := 0; i < values.Len(); i++ {
+					s += values.Float64(i)
 				}
 				ctx.Emit(key, s)
 				return nil
@@ -170,9 +171,11 @@ func TestShuffleDeterministicAcrossParallelism(t *testing.T) {
 		for _, p := range out.Pairs {
 			raw += fmt.Sprintf("%s=%x;", p.Key, p.Value.(float64))
 		}
+		byKey := append([]Pair(nil), out.Pairs...)
+		sort.SliceStable(byKey, func(i, j int) bool { return byKey[i].Key < byKey[j].Key })
 		sorted := ""
-		for _, g := range out.Groups() {
-			sorted += fmt.Sprintf("%s=%x;", g.Key, g.Values[0].(float64))
+		for _, p := range byKey {
+			sorted += fmt.Sprintf("%s=%x;", p.Key, p.Value.(float64))
 		}
 		return raw, sorted, out.Counters
 	}
@@ -212,45 +215,5 @@ func TestMapOnlyOutputDeterministicOrder(t *testing.T) {
 		if p.Value.(int) != i {
 			t.Fatalf("pair %d carries global index %d — map-only output not in split order", i, p.Value)
 		}
-	}
-}
-
-// TestOutputGroups: Groups returns ascending keys with values in pair
-// order, leaving Pairs untouched.
-func TestOutputGroups(t *testing.T) {
-	out := &Output{Pairs: []Pair{
-		{Key: "b", Value: 1}, {Key: "a", Value: 2}, {Key: "b", Value: 3}, {Key: "a", Value: 4},
-	}}
-	groups := out.Groups()
-	if len(groups) != 2 || groups[0].Key != "a" || groups[1].Key != "b" {
-		t.Fatalf("groups = %+v", groups)
-	}
-	if groups[0].Values[0].(int) != 2 || groups[0].Values[1].(int) != 4 {
-		t.Fatalf("value order not preserved: %+v", groups[0].Values)
-	}
-	if groups[1].Values[0].(int) != 1 || groups[1].Values[1].(int) != 3 {
-		t.Fatalf("value order not preserved: %+v", groups[1].Values)
-	}
-	if out.Pairs[0].Key != "b" {
-		t.Fatal("Groups mutated o.Pairs")
-	}
-	if (&Output{}).Groups() != nil {
-		t.Fatal("empty output must group to nil")
-	}
-}
-
-// TestGroupedSharedBackingIsAppendSafe: Grouped's value slices share one
-// backing array; appending to one key's slice must not clobber another's.
-func TestGroupedSharedBackingIsAppendSafe(t *testing.T) {
-	out := &Output{Pairs: []Pair{
-		{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}, {Key: "c", Value: 4},
-	}}
-	g := out.Grouped()
-	if len(g) != 3 || len(g["a"]) != 2 || g["a"][0].(int) != 1 || g["a"][1].(int) != 3 {
-		t.Fatalf("grouped = %v", g)
-	}
-	_ = append(g["a"], 99)
-	if g["b"][0].(int) != 2 || g["c"][0].(int) != 4 {
-		t.Fatalf("append through shared backing clobbered neighbours: %v", g)
 	}
 }

@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -23,39 +24,45 @@ func typedTestSplits(splits, rows, dim int) []*Split {
 	return out
 }
 
-// TestTypedEmitMatchesBoxed runs the same logical job once through the
-// boxed-compat lane (ctx.Emit + Reducer) and once through the typed lane
-// (EmitF64 + TypedReducer) and requires byte-for-byte identical Output:
-// same pairs in the same order, same counters. This is the core compat
-// oracle of the typed plane.
-func TestTypedEmitMatchesBoxed(t *testing.T) {
+// sumByKey is the test-local reduce reference: it groups a map-only run's
+// output by key and sums each key's float64 values in pair order.
+func sumByKey(pairs []Pair) map[string]float64 {
+	sums := make(map[string]float64)
+	for _, p := range pairs {
+		sums[p.Key] += p.Value.(float64)
+	}
+	return sums
+}
+
+// checkAgainstReference requires a reduce job's output to hold exactly one
+// pair per key of ref, carrying ref's sum.
+func checkAgainstReference(t *testing.T, name string, out []Pair, ref map[string]float64) {
+	t.Helper()
+	if len(out) != len(ref) {
+		t.Fatalf("%s: %d output pairs, reference has %d keys", name, len(out), len(ref))
+	}
+	for _, p := range out {
+		if want, ok := ref[p.Key]; !ok || p.Value.(float64) != want {
+			t.Fatalf("%s: %s = %v, reference %v", name, p.Key, p.Value, want)
+		}
+	}
+}
+
+// TestTypedEmitGolden pins the typed lane (EmitF64 + TypedReducer) to the
+// pairs and counters the engine produced for this job before the typed
+// plane replaced the []any reduce surface, and checks the sums against a
+// map-only run reduced in the test.
+func TestTypedEmitGolden(t *testing.T) {
 	splits := typedTestSplits(4, 32, 3)
 	key := func(g int) string { return fmt.Sprintf("k%d", g%7) }
-
-	boxed := &Job{
+	mapper := MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
+		ctx.EmitF64(key(global), row[0]+row[1])
+		return nil
+	})
+	typed := &Job{
 		Name:   "boxed",
 		Splits: splits,
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.Emit(key(global), row[0]+row[1])
-			return nil
-		}),
-		Reducer: ReducerFunc(func(ctx *TaskContext, k string, values []any) error {
-			sum := 0.0
-			for _, v := range values {
-				sum += v.(float64)
-			}
-			ctx.Emit(k, sum)
-			return nil
-		}),
-		NumReducers: 3,
-	}
-	typed := &Job{
-		Name:   "boxed", // same name: counters embed no name, spans do; keep apples-to-apples
-		Splits: splits,
-		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			ctx.EmitF64(key(global), row[0]+row[1])
-			return nil
-		}),
+		Mapper: mapper,
 		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
 			sum := 0.0
 			for i := 0; i < values.Len(); i++ {
@@ -66,24 +73,30 @@ func TestTypedEmitMatchesBoxed(t *testing.T) {
 		}),
 		NumReducers: 3,
 	}
+	golden := []Pair{
+		{"k1", 1828.75}, {"k2", 1665.0}, {"k4", 1719.0}, {"k0", 1800.25},
+		{"k3", 1692.0}, {"k5", 1746.0}, {"k6", 1773.0},
+	}
+	goldenCounters := Counters{MapInputRecords: 128, MapOutputRecords: 128,
+		ReduceInputKeys: 7, ReduceInputVals: 128, OutputRecords: 7, ShuffledBytes: 1280}
 
+	mapOnly, err := Default().Run(&Job{Name: "boxed-map", Splits: splits, Mapper: mapper})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sumByKey(mapOnly.Pairs)
 	for _, par := range []int{1, 4} {
-		e1 := NewEngine(Config{Parallelism: par})
-		e2 := NewEngine(Config{Parallelism: par})
-		o1, err := e1.Run(boxed)
+		out, err := NewEngine(Config{Parallelism: par}).Run(typed)
 		if err != nil {
-			t.Fatalf("par %d: boxed: %v", par, err)
+			t.Fatalf("par %d: %v", par, err)
 		}
-		o2, err := e2.Run(typed)
-		if err != nil {
-			t.Fatalf("par %d: typed: %v", par, err)
+		if !reflect.DeepEqual(out.Pairs, golden) {
+			t.Fatalf("par %d: pairs diverge from golden\n got: %v\nwant: %v", par, out.Pairs, golden)
 		}
-		if !reflect.DeepEqual(o1.Pairs, o2.Pairs) {
-			t.Fatalf("par %d: typed pairs diverge from boxed\nboxed: %v\ntyped: %v", par, o1.Pairs, o2.Pairs)
+		if out.Counters != goldenCounters {
+			t.Fatalf("par %d: counters diverge from golden\n got: %+v\nwant: %+v", par, out.Counters, goldenCounters)
 		}
-		if o1.Counters != o2.Counters {
-			t.Fatalf("par %d: counters diverge\nboxed: %+v\ntyped: %+v", par, o1.Counters, o2.Counters)
-		}
+		checkAgainstReference(t, fmt.Sprintf("par %d", par), out.Pairs, ref)
 	}
 }
 
@@ -96,10 +109,10 @@ func TestTypedScalarRoundTrip(t *testing.T) {
 		Name:   "roundtrip",
 		Splits: splits,
 		Mapper: MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
-			Emit(ctx, "f", 1.5)
-			Emit(ctx, "i", int64(-7))
-			Emit(ctx, "n", 42)
-			Emit(ctx, "s", []float64{1, 2})
+			ctx.EmitF64("f", 1.5)
+			ctx.EmitI64("i", -7)
+			ctx.EmitInt("n", 42)
+			ctx.Emit("s", []float64{1, 2})
 			return nil
 		}),
 	}
@@ -107,18 +120,17 @@ func TestTypedScalarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := out.Grouped()
-	if v := byKey["f"][0]; v != any(1.5) {
+	if v := out.Pairs[0].Value; v != any(1.5) {
 		t.Fatalf("float64 round-trip: got %T %v", v, v)
 	}
-	if v := byKey["i"][0]; v != any(int64(-7)) {
+	if v := out.Pairs[1].Value; v != any(int64(-7)) {
 		t.Fatalf("int64 round-trip: got %T %v", v, v)
 	}
-	if v := byKey["n"][0]; v != any(42) {
+	if v := out.Pairs[2].Value; v != any(42) {
 		t.Fatalf("int round-trip: got %T %v (must stay int, not int64)", v, v)
 	}
-	if v, ok := byKey["s"][0].([]float64); !ok || len(v) != 2 {
-		t.Fatalf("slice round-trip: got %T", byKey["s"][0])
+	if v, ok := out.Pairs[3].Value.([]float64); !ok || len(v) != 2 {
+		t.Fatalf("slice round-trip: got %T", out.Pairs[3].Value)
 	}
 }
 
@@ -152,10 +164,10 @@ func TestValuesAccessors(t *testing.T) {
 			if got := values.Value(3); got != any("str") {
 				t.Errorf("Value(3) = %v", got)
 			}
-			boxed := values.AppendBoxed(nil)
+			boxed := []any{values.Value(0), values.Value(1), values.Value(2), values.Value(3)}
 			want := []any{0.5, int64(9), 3, "str"}
 			if !reflect.DeepEqual(boxed, want) {
-				t.Errorf("AppendBoxed = %#v, want %#v", boxed, want)
+				t.Errorf("Value(0..3) = %#v, want %#v", boxed, want)
 			}
 			ctx.EmitInt(k, values.Len())
 			return nil
@@ -170,38 +182,28 @@ func TestValuesAccessors(t *testing.T) {
 	}
 }
 
-// TestTypedCombinerMatchesBoxed runs the same sum job with a boxed Combiner
-// and a TypedCombiner and requires identical output and counters —
-// including CombineInput/CombineOutput and the post-combine ShuffledBytes.
-func TestTypedCombinerMatchesBoxed(t *testing.T) {
+// TestTypedCombinerGolden pins a TypedCombiner job to the pairs and
+// counters — CombineInput/CombineOutput and the post-combine ShuffledBytes
+// included — that the engine produced for it before the typed plane
+// replaced the []any combine surface, and checks the sums against a
+// map-only run reduced in the test.
+func TestTypedCombinerGolden(t *testing.T) {
 	splits := typedTestSplits(3, 40, 2)
 	key := func(g int) string { return fmt.Sprintf("k%d", g%5) }
 	mapF64 := MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
 		ctx.EmitF64(key(global), row[1])
 		return nil
 	})
-	reduce := TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
-		sum := 0.0
-		for i := 0; i < values.Len(); i++ {
-			sum += values.Float64(i)
-		}
-		ctx.EmitF64(k, sum)
-		return nil
-	})
-
-	boxed := &Job{
-		Name: "combine", Splits: splits, Mapper: mapF64, TypedReducer: reduce,
-		Combiner: CombinerFunc(func(k string, values []any) ([]any, error) {
-			sum := 0.0
-			for _, v := range values {
-				sum += v.(float64)
-			}
-			return []any{sum}, nil
-		}),
-		NumReducers: 2,
-	}
 	typed := &Job{
-		Name: "combine", Splits: splits, Mapper: mapF64, TypedReducer: reduce,
+		Name: "combine", Splits: splits, Mapper: mapF64,
+		TypedReducer: TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error {
+			sum := 0.0
+			for i := 0; i < values.Len(); i++ {
+				sum += values.Float64(i)
+			}
+			ctx.EmitF64(k, sum)
+			return nil
+		}),
 		TypedCombiner: TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error {
 			sum := 0.0
 			for i := 0; i < values.Len(); i++ {
@@ -212,39 +214,56 @@ func TestTypedCombinerMatchesBoxed(t *testing.T) {
 		}),
 		NumReducers: 2,
 	}
-	o1, err := Default().Run(boxed)
+	golden := []Pair{{"k0", 696.0}, {"k2", 720.0}, {"k4", 744.0}, {"k1", 708.0}, {"k3", 732.0}}
+	goldenCounters := Counters{MapInputRecords: 120, MapOutputRecords: 120,
+		CombineInput: 120, CombineOutput: 15, ReduceInputKeys: 5, ReduceInputVals: 15,
+		OutputRecords: 5, ShuffledBytes: 150}
+
+	out, err := Default().Run(typed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := Default().Run(typed)
+	if !reflect.DeepEqual(out.Pairs, golden) {
+		t.Fatalf("typed combiner pairs diverge from golden\n got: %v\nwant: %v", out.Pairs, golden)
+	}
+	if out.Counters != goldenCounters {
+		t.Fatalf("typed combiner counters diverge from golden\n got: %+v\nwant: %+v", out.Counters, goldenCounters)
+	}
+	mapOnly, err := Default().Run(&Job{Name: "combine-map", Splits: splits, Mapper: mapF64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(o1.Pairs, o2.Pairs) {
-		t.Fatalf("typed combiner pairs diverge\nboxed: %v\ntyped: %v", o1.Pairs, o2.Pairs)
-	}
-	if o1.Counters != o2.Counters {
-		t.Fatalf("typed combiner counters diverge\nboxed: %+v\ntyped: %+v", o1.Counters, o2.Counters)
-	}
-	if o1.Counters.CombineInput == 0 || o1.Counters.CombineOutput == 0 {
-		t.Fatalf("combiner never ran: %+v", o1.Counters)
-	}
+	checkAgainstReference(t, "combine", out.Pairs, sumByKey(mapOnly.Pairs))
 }
 
-// TestJobValidation pins the at-most-one-of constraints on the dual
-// reducer/combiner surfaces.
+// TestJobValidation pins that a Job names its code exactly one way: each
+// rejected shape fails on every backend with an error naming the job.
 func TestJobValidation(t *testing.T) {
-	splits := typedTestSplits(1, 1, 1)
 	m := MapperFunc(func(ctx *TaskContext, global int, row []float64) error { return nil })
-	red := ReducerFunc(func(ctx *TaskContext, k string, values []any) error { return nil })
+	nm := func() Mapper { return m }
 	tred := TypedReducerFunc(func(ctx *TaskContext, k string, values Values) error { return nil })
-	if _, err := Default().Run(&Job{Name: "both-red", Splits: splits, Mapper: m, Reducer: red, TypedReducer: tred}); err == nil {
-		t.Fatal("want error when both Reducer and TypedReducer are set")
-	}
-	cb := CombinerFunc(func(k string, values []any) ([]any, error) { return values, nil })
 	tcb := TypedCombinerFunc(func(k string, values Values, out *CombineEmit) error { return nil })
-	if _, err := Default().Run(&Job{Name: "both-cb", Splits: splits, Mapper: m, TypedReducer: tred, Combiner: cb, TypedCombiner: tcb}); err == nil {
-		t.Fatal("want error when both Combiner and TypedCombiner are set")
+	shapes := []struct {
+		name string
+		job  Job
+	}{
+		{"no-code", Job{}},
+		{"mapper+newmapper", Job{Mapper: m, NewMapper: nm}},
+		{"impl+mapper", Job{Impl: "conf-nocombine", Mapper: m}},
+		{"impl+newmapper", Job{Impl: "conf-nocombine", NewMapper: nm}},
+		{"impl+reducer", Job{Impl: "conf-nocombine", TypedReducer: tred}},
+		{"impl+combiner", Job{Impl: "conf-nocombine", TypedCombiner: tcb}},
+	}
+	for _, backend := range BackendNames() {
+		for _, sh := range shapes {
+			job := sh.job
+			job.Name = "shape-" + sh.name
+			job.Splits = typedTestSplits(1, 4, 1)
+			_, err := NewEngine(Config{Backend: backend, SpillDir: t.TempDir()}).Run(&job)
+			if err == nil || !strings.Contains(err.Error(), job.Name) {
+				t.Errorf("%s/%s: err = %v, want a rejection naming the job", backend, sh.name, err)
+			}
+		}
 	}
 }
 

@@ -25,12 +25,13 @@ import (
 // The worker is deliberately thin: every scheduling decision — retries,
 // fault decisions, straggler charges, spans — stays in the driver. A worker
 // receives fully-resolved task frames (including the exact record index at
-// which to kill itself) and executes the same record loops as the
-// in-process backend, emitting into the same typed plane. Injected faults
-// become real process deaths: the worker flushes a dying frame carrying the
-// attempt's partial counters, then SIGKILLs itself, giving the driver the
-// exact Wasted accounting of an in-process injected failure plus a genuine
-// process corpse for the chaos harness to audit.
+// which to kill itself) and runs the same attempt bodies as the in-process
+// backend (runMapAttempt, reduceAttempt), emitting into the same typed
+// plane. Injected faults become real process deaths: the worker flushes a
+// dying frame carrying the attempt's partial counters, then SIGKILLs
+// itself, giving the driver the exact Wasted accounting of an in-process
+// injected failure plus a genuine process corpse for the chaos harness to
+// audit.
 
 // workerEnv marks a process as an mr worker. MaybeWorkerProcess checks it;
 // the driver sets it on spawned children.
@@ -72,13 +73,12 @@ type workerState struct {
 	// job is the materialized current job (registry funcs + decoded cache);
 	// jobErr defers an impl-resolution failure to the first task frame, so
 	// it surfaces as a task error instead of a dead worker.
-	job         *Job
-	jobErr      error
-	nb          int
-	mapOnly     bool
-	hasCombiner bool
-	spillDir    string
-	spillLimit  int64
+	job        *Job
+	jobErr     error
+	nb         int
+	mapOnly    bool
+	spillDir   string
+	spillLimit int64
 	// spillMid enables threshold-triggered mid-task spills. Combiner jobs
 	// keep their buckets whole (the combiner must see every value of a key
 	// to produce the same post-combine records and ShuffledBytes as the
@@ -238,16 +238,13 @@ func (w *workerState) setJob(data []byte) error {
 		Name:          jf.Name,
 		Mapper:        funcs.Mapper,
 		NewMapper:     funcs.NewMapper,
-		Reducer:       funcs.Reducer,
 		TypedReducer:  funcs.TypedReducer,
-		Combiner:      funcs.Combiner,
 		TypedCombiner: funcs.TypedCombiner,
 		NumReducers:   jf.NumReducers,
 		Cache:         cache,
 	}
 	w.nb = jf.NB
 	w.mapOnly = jf.MapOnly
-	w.hasCombiner = jf.HasCombiner
 	w.spillDir = jf.SpillDir
 	w.spillLimit = jf.SpillLimit
 	w.spillMid = !jf.MapOnly && !jf.HasCombiner
@@ -260,10 +257,10 @@ func (w *workerState) setJob(data []byte) error {
 	return nil
 }
 
-// runMap executes one map task attempt — the worker-side mirror of
-// tryMapTask, with the same record-loop kill points (before record KillAt,
-// after the last record, before the combiner) and the same counter and
-// ShuffledBytes accounting, plus threshold-triggered spills to disk.
+// runMap executes one map task attempt through runMapAttempt — the same
+// body as the in-process backend, with the driver's kill points (before
+// record KillAt, after the last record, before the combiner) realized as
+// process deaths — plus threshold-triggered spills to disk.
 func (w *workerState) runMap(data []byte) error {
 	var f mapTaskFrame
 	if err := decodeFrame(data, &f); err != nil {
@@ -281,63 +278,30 @@ func (w *workerState) runMap(data []byte) error {
 		return w.sendTaskErr(err)
 	}
 
-	var c Counters
-	mapper := w.job.Mapper
-	if w.job.NewMapper != nil {
-		mapper = w.job.NewMapper()
-	}
-	ctx := &TaskContext{
-		JobName:      w.job.Name,
-		TaskID:       f.Task,
-		Split:        split,
-		cache:        w.job.Cache,
-		ms:           st,
-		counters:     &c,
-		numReducers:  w.nb,
-		chargeOnEmit: w.mapOnly || !w.hasCombiner,
-		trackBuf:     w.spillMid,
+	var spill func() error
+	seq := 0
+	if w.spillMid {
+		spill = func() error {
+			sp := w.tel.StartStep("spill-write", "map")
+			if err := sw.spillAll(st, seq, true); err != nil {
+				return err
+			}
+			sp.Done()
+			seq++
+			return nil
+		}
 	}
 	// Telemetry steps: map-exec spans the record loop through the combiner;
 	// each spill pass gets its own overlapping spill-write sibling. Open
 	// steps are closed by AbortOpen on the die/sendTaskErr paths.
 	exec := w.tel.StartStep("map-exec", "map")
-	if err := mapper.Setup(ctx); err != nil {
-		return fail(err)
-	}
-	n := split.NumRows()
-	seq := 0
-	for i := 0; i < n; i++ {
-		if i == f.KillAt {
-			w.die(c)
-		}
-		c.MapInputRecords++
-		if err := mapper.Map(ctx, split.Offset+i, split.Row(i)); err != nil {
-			return fail(err)
-		}
-		if w.spillMid && st.bufBytes >= w.spillLimit {
-			sp := w.tel.StartStep("spill-write", "map")
-			if err := sw.spillAll(st, seq, true); err != nil {
-				return fail(err)
-			}
-			sp.Done()
-			seq++
-		}
-	}
-	if n == f.KillAt {
+	c, _, err := runMapAttempt(w.job, split, st, w.mapOnly, w.nb, f.KillAt, nil,
+		func() bool { return f.CombineKill }, w.spillLimit, spill)
+	if errors.Is(err, errInjectedFailure) {
 		w.die(c)
 	}
-	if err := mapper.Cleanup(ctx); err != nil {
+	if err != nil {
 		return fail(err)
-	}
-	if w.hasCombiner && !w.mapOnly {
-		if f.CombineKill {
-			w.die(c)
-		}
-		for r := range st.buckets {
-			if err := combineBucket(w.job, st, r, &c); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	exec.Done()
 
@@ -415,8 +379,8 @@ func (w *workerState) sendPairs(out []Pair) error {
 
 // runReduce executes one reduce task attempt: it k-way merges the
 // partition's spill segments (ordered by map task, then spill pass — the
-// in-process value order) and drives the reducer with the same grouping,
-// kill-threshold and counter semantics as tryReduceTask.
+// in-process value order) into the same per-key body as tryReduceTask,
+// dying at the driver's kill threshold.
 func (w *workerState) runReduce(data []byte) error {
 	var f reduceTaskFrame
 	if err := decodeFrame(data, &f); err != nil {
@@ -449,56 +413,20 @@ func (w *workerState) runReduce(data []byte) error {
 		readers = append(readers, r)
 	}
 
-	var c Counters
-	var out []Pair
-	ctx := &TaskContext{
-		JobName:  w.job.Name,
-		TaskID:   f.Task,
-		cache:    w.job.Cache,
-		outPairs: &out,
-	}
-	// Boxed-compat reducers get a fresh, never-pooled backing array — the
-	// rule the pool-lifecycle audit pinned: state handed to code that may
-	// retain it is freshly allocated; state crossing the process boundary
-	// is serialized, never shared.
-	var backing []any
-	if w.job.Reducer != nil {
-		backing = make([]any, 0, f.TotalRecords)
-	}
-	consumed := 0
+	a := newReduceAttempt(w.job, f.Task, f.KillAt, nil)
 	merge := w.tel.StartStep("segment-merge", "reduce")
-	err := mergeSegments(readers, &w.batch, func(k string, grouped []rec) error {
-		if f.KillAt >= 0 && consumed >= f.KillAt {
-			return errInjectedFailure
-		}
-		consumed += len(grouped)
-		c.ReduceInputKeys++
-		c.ReduceInputVals += int64(len(grouped))
-		if w.job.TypedReducer != nil {
-			return w.job.TypedReducer.ReduceTyped(ctx, k, Values{recs: grouped})
-		}
-		start := len(backing)
-		for i := range grouped {
-			backing = append(backing, grouped[i].value())
-		}
-		return w.job.Reducer.Reduce(ctx, k, backing[start:len(backing):len(backing)])
-	})
-	if err != nil {
+	if err := a.done(mergeSegments(readers, &w.batch, a.key)); err != nil {
 		if errors.Is(err, errInjectedFailure) {
-			w.die(c)
+			w.die(a.c)
 		}
 		return w.sendTaskErr(err)
 	}
 	merge.Done()
-	if f.KillAt >= 0 && consumed >= f.KillAt {
-		// KillFrac ≈ 1: die after the last key, before committing output.
-		w.die(c)
-	}
 	fe := w.tel.StartStep("frame-encode", "reduce")
-	if err := w.sendPairs(out); err != nil {
+	if err := w.sendPairs(a.out); err != nil {
 		return err
 	}
 	fe.Done()
 	w.flushTelemetry()
-	return w.send(fReduceDone, doneFrame{Counters: c})
+	return w.send(fReduceDone, doneFrame{Counters: a.c})
 }
