@@ -70,15 +70,16 @@ trace:
 
 # Ops-plane and trace-analysis suite under the race detector: progress
 # aggregation, Prometheus exposition (golden + validator), flight-recorder
-# retention, the live ops-server-during-chaos test, and the p3ctrace oracle.
+# retention, the live ops-server-during-chaos test, and the trace-analyzer
+# tests (internal/obs, and the p3ctrace oracle).
 ops:
 	$(GO) test -race -run 'Ops|Flight|Progress|Prometheus|Analyze' ./...
 
 # Worker telemetry plane under the race detector: the multiprocess
 # telemetry/clock-alignment tests, the live ops-server-during-proc-kill-chaos
 # test (pollers on /metrics, /runs, /workers while worker fleets die and
-# respawn), the WorkerStats golden families, and the p3ctrace merge/timeline
-# regressions.
+# respawn), the WorkerStats golden families, and the trace-parser merge
+# (internal/obs) and p3ctrace timeline regressions.
 ops-proc:
 	$(GO) test -race -run 'MultiprocTelemetry|OpsProc|Workers|WorkerTelemetry|ParseTrace|ClassifyAndTimeline' \
 		./internal/mr/ ./internal/obs/ ./cmd/p3ctrace/

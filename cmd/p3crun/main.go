@@ -18,10 +18,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 
 	"p3cmr"
@@ -50,9 +48,8 @@ func main() {
 		normalize   = flag.Bool("normalize", false, "min-max normalize attributes to [0,1] first")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON on stdout")
 		members     = flag.Bool("members", false, "include member lists in JSON output")
-		jobStats    = flag.Bool("jobstats", false, "print per-job MapReduce statistics")
 		traceOut    = flag.String("trace", "", "write a JSONL span trace of the run to this file")
-		report      = flag.Bool("report", false, "print a per-phase/per-job observability report after the run")
+		report      = flag.Bool("report", false, "print the run's trace analysis (per-phase/per-job tables, critical path, skew; as p3ctrace) to stderr after the run")
 		metrics     = flag.Bool("metrics", false, "print an engine metrics snapshot after the run")
 		opsAddr     = flag.String("ops", "", "serve the live ops plane (/metrics, /runs, /healthz, /debug/pprof/) on this address, e.g. :9090")
 		opsLinger   = flag.Duration("ops-linger", 0, "keep the ops server up this long after the run finishes")
@@ -86,14 +83,13 @@ func main() {
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
 	var (
-		engine    *mr.Engine
-		jsonl     *obs.JSONLTracer
-		collector *obs.ReportCollector
-		registry  *obs.Registry
-		progress  *obs.Progress
-		workers   *obs.WorkerStats
-		flight    *obs.FlightRecorder
-		ops       *obs.OpsServer
+		engine   *mr.Engine
+		jsonl    *obs.JSONLTracer
+		registry *obs.Registry
+		progress *obs.Progress
+		workers  *obs.WorkerStats
+		flight   *obs.FlightRecorder
+		ops      *obs.OpsServer
 	)
 	if *flightOut != "" && *flightN == 0 {
 		*flightN = obs.DefaultFlightLimit
@@ -105,19 +101,20 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *traceOut == "" {
-			// Archiving needs a trace stream; stage one in a temp file that
-			// the seal consumes.
-			tmp, err := os.CreateTemp("", "p3crun-trace-*.jsonl")
-			if err != nil {
-				fatal(err)
-			}
-			tmp.Close()
-			*traceOut = tmp.Name()
-			defer os.Remove(tmp.Name())
-		}
 	}
-	if *jobStats || *simulate || *traceOut != "" || *report || *metrics ||
+	// Archiving and the report both read the trace back at exit; without
+	// -trace, stage one in a temp file.
+	staged := *traceOut == "" && (arch != nil || *report)
+	if staged {
+		tmp, err := os.CreateTemp("", "p3crun-trace-*.jsonl")
+		if err != nil {
+			fatal(err)
+		}
+		tmp.Close()
+		*traceOut = tmp.Name()
+		defer os.Remove(tmp.Name())
+	}
+	if *simulate || *traceOut != "" || *metrics ||
 		*opsAddr != "" || *flightN > 0 || *backend != "" || *spillDir != "" ||
 		*spillMB > 0 || *chaos > 0 || *chaosStrag > 0 || *demo {
 		ec := mr.Config{Backend: *backend, SpillDir: *spillDir}
@@ -144,10 +141,6 @@ func main() {
 			defer f.Close()
 			jsonl = obs.NewJSONLTracer(f)
 			tracers = append(tracers, jsonl)
-		}
-		if *report {
-			collector = obs.NewReportCollector()
-			tracers = append(tracers, collector)
 		}
 		if *opsAddr != "" {
 			progress = obs.NewProgress()
@@ -235,7 +228,14 @@ func main() {
 			if err := jsonl.Close(); err != nil {
 				fatal(fmt.Errorf("writing trace: %w", err))
 			}
-			fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
+			if !staged {
+				fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
+			}
+		}
+		if *report {
+			if err := writeReport(os.Stderr, *traceOut); err != nil {
+				fatal(fmt.Errorf("report: %w", err))
+			}
 		}
 		if arch != nil {
 			name := "p3c-pipeline"
@@ -271,9 +271,6 @@ func main() {
 				}
 			}
 			fmt.Fprintf(os.Stderr, "run archived as %s (seq %d) under %s\n", sealed.ID, sealed.Seq, arch.Root())
-		}
-		if collector != nil {
-			collector.WriteReport(os.Stderr)
 		}
 		if registry != nil && *metrics {
 			snap := registry.Snapshot()
@@ -365,32 +362,22 @@ func main() {
 		fmt.Printf("labels written to %s\n", *labelsOut)
 	}
 
-	if *jobStats && engine != nil {
-		printJobStats(engine)
-	}
 	finishObs()
 }
 
-// printJobStats renders the engine's per-job-name accounting, sorted by
-// accumulated map input (the dominant cost driver).
-func printJobStats(engine *mr.Engine) {
-	stats := engine.JobStatsByName()
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
+// writeReport analyzes the run's trace file and renders it exactly as
+// p3ctrace does.
+func writeReport(w io.Writer, tracePath string) error {
+	f, err := os.Open(tracePath)
+	if err != nil {
+		return err
 	}
-	sort.Slice(names, func(i, j int) bool {
-		return stats[names[i]].Counters.MapInputRecords > stats[names[j]].Counters.MapInputRecords
-	})
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\njob\truns\tmap in\tmap out\tshuffled B\tmodeled s")
-	for _, name := range names {
-		js := stats[name]
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1f\n",
-			name, js.Runs, js.Counters.MapInputRecords, js.Counters.MapOutputRecords,
-			js.Counters.ShuffledBytes, js.SimulatedSeconds)
+	defer f.Close()
+	a, err := obs.AnalyzeTrace(f, 10)
+	if err != nil {
+		return err
 	}
-	tw.Flush()
+	return a.WriteText(w, false)
 }
 
 var algorithms = map[string]p3cmr.Algorithm{

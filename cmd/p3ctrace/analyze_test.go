@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"p3cmr/internal/core"
@@ -15,10 +16,10 @@ import (
 )
 
 // TestAnalyzeReconcilesWithLiveSinks is the p3ctrace oracle: it traces a
-// chaos-plan pipeline through three sinks at once — a JSONL trace (what
-// p3ctrace consumes), a MemTracer (ground-truth span log), and a
-// ReportCollector (the human report) — and asserts the offline analysis
-// agrees with both live views event for event.
+// chaos-plan pipeline through two sinks at once — a JSONL trace (what
+// p3ctrace and p3crun -report analyze) and a MemTracer (ground-truth span
+// log) — and asserts the analysis agrees with the live view event for
+// event.
 func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 	data, _, err := dataset.Generate(dataset.GenConfig{N: 2000, Dim: 12, Clusters: 3, NoiseFraction: 0.1, Seed: 55, Overlap: true})
 	if err != nil {
@@ -30,12 +31,11 @@ func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONLTracer(&buf)
 	mem := obs.NewMemTracer()
-	rep := obs.NewReportCollector()
 	engine := mr.NewEngine(mr.Config{
 		Parallelism: 8, NumReducers: 3,
 		Faults:      mr.RateFaultPlan{MapRate: 0.25, ReduceRate: 0.3, StragglerRate: 0.4, StragglerSeconds: 7, Seed: 107},
 		MaxAttempts: 12,
-		Tracer:      obs.Multi(jsonl, mem, rep),
+		Tracer:      obs.Multi(jsonl, mem),
 	})
 	res, err := core.Run(engine, data, params)
 	if err != nil {
@@ -51,11 +51,10 @@ func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 		t.Fatal("chaos plan injected no retries — oracle exercises nothing")
 	}
 
-	spans, roots, events, err := parseTrace(&buf)
+	a, err := obs.AnalyzeTrace(&buf, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyze(spans, roots, events, 5)
 	if len(a.Runs) != 1 {
 		t.Fatalf("analysis found %d roots, want 1 pipeline run", len(a.Runs))
 	}
@@ -151,38 +150,92 @@ func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 		t.Errorf("retry-waste rows cover %d fault attempts, want %d", wasteFaults, wantFaults)
 	}
 
-	// --- reconcile with the ReportCollector summary line ------------------
-	var repBuf bytes.Buffer
-	if err := rep.WriteReport(&repBuf); err != nil {
-		t.Fatal(err)
+	// Job rows: per name, in first-completion order, the runs, committed
+	// counters, wasted records and simulated seconds of the job spans
+	// MemTracer recorded.
+	var wantJobs []obs.JobRow
+	jobIndex := make(map[string]int)
+	for _, e := range mem.Ends() {
+		if e.Kind != obs.KindJob {
+			continue
+		}
+		i, ok := jobIndex[e.Name]
+		if !ok {
+			i = len(wantJobs)
+			jobIndex[e.Name] = i
+			wantJobs = append(wantJobs, obs.JobRow{Job: e.Name})
+		}
+		w := &wantJobs[i]
+		w.Runs++
+		w.Counters.Add(e.Counters)
+		w.WastedRecords += e.Wasted.MapInputRecords + e.Wasted.ReduceInputVals
+		w.SimulatedSeconds += e.SimulatedSeconds
 	}
-	m := regexp.MustCompile(`run summary: (\d+) jobs, (\d+) task attempts \((\d+) faulted, (\d+) cancelled\), (\d+) retries`).
-		FindStringSubmatch(repBuf.String())
-	if m == nil {
-		t.Fatalf("report summary line not found in:\n%s", repBuf.String())
+	if len(run.Jobs) != len(wantJobs) {
+		t.Fatalf("analysis has %d job rows, MemTracer saw %d job names", len(run.Jobs), len(wantJobs))
 	}
-	atoi := func(s string) int { n, _ := strconv.Atoi(s); return n }
-	if atoi(m[2]) != run.TaskAttempts || atoi(m[3]) != run.Faults || atoi(m[5]) != int(run.Retries) {
-		t.Errorf("report says %s attempts/%s faults/%s retries; analysis says %d/%d/%d",
-			m[2], m[3], m[5], run.TaskAttempts, run.Faults, run.Retries)
+	var jobRetries, jobWasted int64
+	for i, got := range run.Jobs {
+		want := wantJobs[i]
+		if got.Job != want.Job || got.Runs != want.Runs || got.Counters != want.Counters ||
+			got.WastedRecords != want.WastedRecords {
+			t.Errorf("job row %d = %+v, MemTracer says %+v", i, got, want)
+		}
+		if math.Abs(got.SimulatedSeconds-want.SimulatedSeconds) > 1e-9 {
+			t.Errorf("job %q sim %g vs MemTracer %g", got.Job, got.SimulatedSeconds, want.SimulatedSeconds)
+		}
+		jobRetries += got.Counters.TaskRetries
+		jobWasted += got.WastedRecords
+	}
+	if runWasted := run.Wasted.MapInputRecords + run.Wasted.ReduceInputVals; jobRetries != run.Retries || jobWasted != runWasted {
+		t.Errorf("job rows total %d retries/%d wasted; run span says %d/%d",
+			jobRetries, jobWasted, run.Retries, runWasted)
+	}
+	if jobWasted == 0 {
+		t.Error("chaos plan wasted no records — job waste reconciliation untested")
 	}
 
-	// --- structural critical-path checks ---------------------------------
+	// --- critical path ------------------------------------------------------
+	// Each step lies inside the step it hangs under (the nearest earlier
+	// step one level up), siblings on the path do not overlap, no step has
+	// negative self time, and self seconds telescope to the run's wall
+	// time. The pipeline's phases run one after another, so every one of
+	// them is on the path.
 	cp := run.CriticalPath
 	if len(cp) < 3 {
 		t.Fatalf("critical path has %d steps, want at least run→phase→job", len(cp))
 	}
-	if cp[0].Kind != "run" {
-		t.Errorf("critical path starts at %q, want the run", cp[0].Kind)
+	if cp[0].Kind != "run" || cp[0].Depth != 0 {
+		t.Errorf("critical path starts at %q (depth %d), want the run", cp[0].Kind, cp[0].Depth)
 	}
-	for i := 1; i < len(cp); i++ {
-		if cp[i].StartS < cp[i-1].StartS-1e-9 || cp[i].EndS > cp[i-1].EndS+1e-9 {
-			t.Errorf("critical-path step %d [%g,%g] not contained in parent [%g,%g]",
-				i, cp[i].StartS, cp[i].EndS, cp[i-1].StartS, cp[i-1].EndS)
+	selfSum := 0.0
+	var cpPhases []string
+	lastAt := map[int]int{} // depth -> index of the latest step there
+	for i, s := range cp {
+		selfSum += s.SelfSeconds
+		if s.SelfSeconds < 0 {
+			t.Errorf("critical-path step %d has negative self time %g", i, s.SelfSeconds)
 		}
-		if cp[i].SelfSeconds < 0 {
-			t.Errorf("critical-path step %d has negative self time", i)
+		if s.Kind == "phase" {
+			cpPhases = append(cpPhases, s.Name)
 		}
+		if i > 0 {
+			parent := lastAt[s.Depth-1]
+			if s.StartS < cp[parent].StartS-1e-9 || s.EndS > cp[parent].EndS+1e-9 {
+				t.Errorf("critical-path step %d [%g,%g] not contained in its parent [%g,%g]",
+					i, s.StartS, s.EndS, cp[parent].StartS, cp[parent].EndS)
+			}
+			if prev, ok := lastAt[s.Depth]; ok && prev > parent && cp[prev].EndS > s.StartS+1e-9 {
+				t.Errorf("critical-path siblings %d and %d overlap", prev, i)
+			}
+		}
+		lastAt[s.Depth] = i
+	}
+	if math.Abs(selfSum-run.WallSeconds) > 1e-3 {
+		t.Errorf("critical-path self seconds sum to %g, run wall is %g", selfSum, run.WallSeconds)
+	}
+	if !slices.Equal(cpPhases, planned) {
+		t.Errorf("critical path covers phases %v, want all of %v", cpPhases, planned)
 	}
 
 	// Skew rows: every (job, phase) group's max must be >= its median, and
@@ -208,10 +261,10 @@ func TestAnalyzeReconcilesWithLiveSinks(t *testing.T) {
 
 	// The text renderer must handle the full analysis without error.
 	var txt bytes.Buffer
-	if err := writeText(&txt, a, true); err != nil {
+	if err := a.WriteText(&txt, true); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"critical path", "skew (job/phase)", "retry waste (job)", "slowest attempts"} {
+	for _, want := range []string{"critical path", "job  ", "skew (job/phase)", "retry waste (job)", "slowest attempts"} {
 		if !bytes.Contains(txt.Bytes(), []byte(want)) {
 			t.Errorf("text output missing %q section", want)
 		}
@@ -277,11 +330,10 @@ func TestAnalyzeWorkerAttribution(t *testing.T) {
 		t.Fatal("fault plan injected no retries — attribution untested")
 	}
 
-	spans, roots, events, err := parseTrace(&buf)
+	a, err := obs.AnalyzeTrace(&buf, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyze(spans, roots, events, 10)
 	if len(a.Runs) != 1 {
 		t.Fatalf("analysis found %d roots, want 1", len(a.Runs))
 	}
@@ -309,6 +361,82 @@ func TestAnalyzeWorkerAttribution(t *testing.T) {
 	for _, s := range run.Slowest {
 		if s.Worker == "" {
 			t.Errorf("slowest attempt %+v lacks worker attribution", s)
+		}
+	}
+}
+
+// TestClassifyAndTimeline pins the straggler classification and the timeline
+// lanes on a synthetic two-worker trace: one attempt is slow because its
+// input is skewed, one is slow on an idle (starved) worker.
+func TestClassifyAndTimeline(t *testing.T) {
+	trace := strings.TrimSpace(`
+{"ev":"begin","ts":0,"id":1,"kind":"run","name":"r"}
+{"ev":"begin","ts":0,"id":2,"parent":1,"kind":"job","name":"j"}
+{"ev":"begin","ts":0,"id":3,"parent":2,"kind":"task","name":"j","task":0,"attempt":1,"phase":"map"}
+{"ev":"end","ts":1,"id":3,"kind":"task","name":"j","task":0,"attempt":1,"phase":"map","outcome":"ok","real_s":1,"worker":"w1","counters":{"mapIn":100}}
+{"ev":"begin","ts":0,"id":4,"parent":2,"kind":"task","name":"j","task":1,"attempt":1,"phase":"map"}
+{"ev":"end","ts":1,"id":4,"kind":"task","name":"j","task":1,"attempt":1,"phase":"map","outcome":"ok","real_s":1,"worker":"w2","counters":{"mapIn":100}}
+{"ev":"begin","ts":1,"id":5,"parent":2,"kind":"task","name":"j","task":2,"attempt":1,"phase":"map"}
+{"ev":"end","ts":5,"id":5,"kind":"task","name":"j","task":2,"attempt":1,"phase":"map","outcome":"ok","real_s":4,"worker":"w1","counters":{"mapIn":400}}
+{"ev":"begin","ts":1,"id":6,"parent":2,"kind":"task","name":"j","task":3,"attempt":1,"phase":"map"}
+{"ev":"end","ts":5,"id":6,"kind":"task","name":"j","task":3,"attempt":1,"phase":"map","outcome":"ok","real_s":4,"worker":"w2","counters":{"mapIn":100}}
+{"ev":"point","ts":1,"span":5,"point":"sample","worker":"w1","sample":{"cpu_s":1.0}}
+{"ev":"point","ts":5,"span":5,"point":"sample","worker":"w1","sample":{"cpu_s":4.8}}
+{"ev":"point","ts":1,"span":6,"point":"sample","worker":"w2","sample":{"cpu_s":1.0}}
+{"ev":"point","ts":5,"span":6,"point":"sample","worker":"w2","sample":{"cpu_s":1.4}}
+{"ev":"end","ts":5,"id":2,"kind":"job","name":"j","outcome":"ok","real_s":5}
+{"ev":"end","ts":5,"id":1,"kind":"run","name":"r","outcome":"ok","real_s":5}
+`) + "\n"
+
+	a, err := obs.AnalyzeTrace(strings.NewReader(trace), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := a.Runs[0]
+
+	if len(run.Classified) != 2 {
+		t.Fatalf("classified %d attempts, want 2: %+v", len(run.Classified), run.Classified)
+	}
+	byTask := make(map[string]obs.ClassifyRow)
+	for _, c := range run.Classified {
+		byTask[c.Task] = c
+	}
+	// task 2.1: 400 records vs median 100 → skewed (worker w1 was busy,
+	// util ~0.95, but input ratio dominates).
+	if c := byTask["2.1"]; c.Class != "skewed" || c.Worker != "w1" {
+		t.Errorf("task 2.1 classified %+v, want skewed on w1", c)
+	}
+	// task 3.1: median input but worker w2's CPU barely moved → starved.
+	if c := byTask["3.1"]; c.Class != "starved" || c.Worker != "w2" {
+		t.Errorf("task 3.1 classified %+v, want starved on w2", c)
+	}
+
+	if len(run.Timeline) != 2 {
+		t.Fatalf("timeline has %d lanes, want 2", len(run.Timeline))
+	}
+	if run.Timeline[0].Worker != "w1" || run.Timeline[1].Worker != "w2" {
+		t.Errorf("timeline lanes not sorted by worker: %+v", run.Timeline)
+	}
+	for _, lane := range run.Timeline {
+		if len(lane.Intervals) != 2 {
+			t.Errorf("lane %s has %d intervals, want 2", lane.Worker, len(lane.Intervals))
+		}
+		for i := 1; i < len(lane.Intervals); i++ {
+			if lane.Intervals[i].StartS < lane.Intervals[i-1].StartS {
+				t.Errorf("lane %s intervals not in start order", lane.Worker)
+			}
+		}
+	}
+
+	// The text renderer with the timeline on must include the new sections.
+	var sb strings.Builder
+	if err := a.WriteText(&sb, true); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"worker telemetry", "stragglers classified", "timeline", "crit"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("text output missing %q section:\n%s", want, out)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func fileExists(path string) bool {
 
 // loadRun resolves, parses and analyzes one -diff argument, returning the
 // first root run of the trace.
-func loadRun(arg string) (*RunAnalysis, string, error) {
+func loadRun(arg string) (*obs.RunAnalysis, string, error) {
 	path, err := resolveTrace(arg)
 	if err != nil {
 		return nil, "", err
@@ -72,11 +72,10 @@ func loadRun(arg string) (*RunAnalysis, string, error) {
 		return nil, "", err
 	}
 	defer f.Close()
-	spans, roots, events, err := parseTrace(f)
+	a, err := obs.AnalyzeTrace(f, 10)
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	a := analyze(spans, roots, events, 10)
 	if len(a.Runs) == 0 {
 		return nil, "", fmt.Errorf("%s: trace holds no run spans", path)
 	}
@@ -146,7 +145,7 @@ func runTraceDiff(w io.Writer, argA, argB string, g diffGates) int {
 	return 0
 }
 
-func stragglerTotal(r *RunAnalysis) float64 {
+func stragglerTotal(r *obs.RunAnalysis) float64 {
 	total := 0.0
 	for _, s := range r.Stragglers {
 		total += s.Seconds
@@ -169,18 +168,19 @@ func fracDelta(old, new float64) string {
 // largest first — the attribution line of the straggler gate. The rows come
 // straight from straggler points, so they exist even in traces without
 // pipeline phase spans (a bare engine job).
-func stragglerGrowth(a, b []StragglerRow) []string {
-	secsA := make(map[jobPhaseKey]float64, len(a))
+func stragglerGrowth(a, b []obs.StragglerRow) []string {
+	type jobPhase struct{ job, phase string }
+	secsA := make(map[jobPhase]float64, len(a))
 	for _, r := range a {
-		secsA[jobPhaseKey{r.Job, r.Phase}] += r.Seconds
+		secsA[jobPhase{r.Job, r.Phase}] += r.Seconds
 	}
 	type growth struct {
-		key jobPhaseKey
+		key jobPhase
 		d   float64
 	}
 	var rows []growth
 	for _, r := range b {
-		k := jobPhaseKey{r.Job, r.Phase}
+		k := jobPhase{r.Job, r.Phase}
 		if d := r.Seconds - secsA[k]; d > 0 {
 			rows = append(rows, growth{k, d})
 		}
@@ -203,12 +203,12 @@ func stragglerGrowth(a, b []StragglerRow) []string {
 
 // writePhaseDiff tables per-phase wall and simulated deltas over the union
 // of phase names, A's order first, then phases only B has.
-func writePhaseDiff(w io.Writer, a, b []PhaseRow) {
+func writePhaseDiff(w io.Writer, a, b []obs.PhaseRow) {
 	if len(a) == 0 && len(b) == 0 {
 		return
 	}
-	byName := func(rows []PhaseRow) map[string]PhaseRow {
-		m := make(map[string]PhaseRow, len(rows))
+	byName := func(rows []obs.PhaseRow) map[string]obs.PhaseRow {
+		m := make(map[string]obs.PhaseRow, len(rows))
 		for _, p := range rows {
 			// A repeated phase name folds into one row per side.
 			acc := m[p.Name]
@@ -242,7 +242,7 @@ func writePhaseDiff(w io.Writer, a, b []PhaseRow) {
 	tw.Flush()
 }
 
-func unionNames(a, b []PhaseRow) []string {
+func unionNames(a, b []obs.PhaseRow) []string {
 	var names []string
 	seen := make(map[string]bool)
 	for _, p := range a {
@@ -263,11 +263,11 @@ func unionNames(a, b []PhaseRow) []string {
 // writeCriticalPathDiff aggregates each side's critical-path self time by
 // step identity (kind + name) and tables the drift — which steps gate the
 // run longer in B than in A.
-func writeCriticalPathDiff(w io.Writer, a, b []CPStep) {
+func writeCriticalPathDiff(w io.Writer, a, b []obs.CPStep) {
 	if len(a) == 0 && len(b) == 0 {
 		return
 	}
-	agg := func(path []CPStep) (map[string]float64, []string) {
+	agg := func(path []obs.CPStep) (map[string]float64, []string) {
 		m := make(map[string]float64)
 		var order []string
 		for _, s := range path {
@@ -309,12 +309,12 @@ func writeCriticalPathDiff(w io.Writer, a, b []CPStep) {
 // writeWorkerDiff tables per-worker attempt counts, wall time, straggler
 // charge and utilization across the two runs. Worker names are stable
 // ("w0", "w1", …) within a backend, so same-shape runs line up row by row.
-func writeWorkerDiff(w io.Writer, a, b []WorkerRow) {
+func writeWorkerDiff(w io.Writer, a, b []obs.WorkerRow) {
 	if len(a) == 0 && len(b) == 0 {
 		return
 	}
-	byName := func(rows []WorkerRow) map[string]WorkerRow {
-		m := make(map[string]WorkerRow, len(rows))
+	byName := func(rows []obs.WorkerRow) map[string]obs.WorkerRow {
+		m := make(map[string]obs.WorkerRow, len(rows))
 		for _, r := range rows {
 			m[r.Worker] = r
 		}
@@ -323,7 +323,7 @@ func writeWorkerDiff(w io.Writer, a, b []WorkerRow) {
 	mA, mB := byName(a), byName(b)
 	var names []string
 	seen := make(map[string]bool)
-	for _, r := range append(append([]WorkerRow{}, a...), b...) {
+	for _, r := range append(append([]obs.WorkerRow{}, a...), b...) {
 		if !seen[r.Worker] {
 			seen[r.Worker] = true
 			names = append(names, r.Worker)
@@ -353,7 +353,7 @@ func writeWorkerDiff(w io.Writer, a, b []WorkerRow) {
 // writeCounterDiff tables run-level counter drift. Counters are compared
 // through their JSON form so new counter fields flow in without touching
 // this code; only drifting counters are listed.
-func writeCounterDiff(w io.Writer, a, b *RunAnalysis) {
+func writeCounterDiff(w io.Writer, a, b *obs.RunAnalysis) {
 	mA, mB := counterMap(a.Counters), counterMap(b.Counters)
 	var keys []string
 	seen := make(map[string]bool)
@@ -399,11 +399,11 @@ func counterMap(c obs.Counters) map[string]float64 {
 
 // writeConvergenceDiff compares the final value of each algorithm metric
 // series — did the runs converge to the same model quality?
-func writeConvergenceDiff(w io.Writer, a, b []ConvergenceRow) {
+func writeConvergenceDiff(w io.Writer, a, b []obs.ConvergenceRow) {
 	if len(a) == 0 && len(b) == 0 {
 		return
 	}
-	last := func(rows []ConvergenceRow) map[string]float64 {
+	last := func(rows []obs.ConvergenceRow) map[string]float64 {
 		m := make(map[string]float64, len(rows))
 		for _, r := range rows {
 			if len(r.Points) > 0 {
@@ -415,7 +415,7 @@ func writeConvergenceDiff(w io.Writer, a, b []ConvergenceRow) {
 	mA, mB := last(a), last(b)
 	var names []string
 	seen := make(map[string]bool)
-	for _, r := range append(append([]ConvergenceRow{}, a...), b...) {
+	for _, r := range append(append([]obs.ConvergenceRow{}, a...), b...) {
 		if !seen[r.Name] {
 			seen[r.Name] = true
 			names = append(names, r.Name)

@@ -169,90 +169,6 @@ func TestResolveTraceShapes(t *testing.T) {
 	}
 }
 
-// TestConvergenceSeries pins the metric-point path end to end in p3ctrace:
-// PointMetric events survive the JSONL round trip with their values, fold
-// into per-name iteration series, render as a convergence table, and show
-// up in the -json payload.
-func TestConvergenceSeries(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.NewJSONLTracer(&buf)
-	run := obs.NewSpanID()
-	tr.Begin(obs.Start{ID: run, Kind: obs.KindRun, Name: "conv"})
-	phase := obs.NewSpanID()
-	tr.Begin(obs.Start{ID: phase, Parent: run, Kind: obs.KindPhase, Name: "em"})
-	lls := []float64{-52.5, -44.125, -41.0625, -40.5}
-	for it, ll := range lls {
-		tr.Point(obs.Point{Span: phase, Kind: obs.PointMetric, Name: "em_log_likelihood", Task: it, Value: ll})
-		tr.Point(obs.Point{Span: phase, Kind: obs.PointMetric, Name: "em_active_clusters", Task: it, Value: 3})
-	}
-	tr.End(obs.End{ID: phase, Kind: obs.KindPhase, Name: "em", RealSeconds: 1})
-	tr.End(obs.End{ID: run, Kind: obs.KindRun, Name: "conv", RealSeconds: 1, Outcome: obs.OutcomeOK})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	spans, roots, events, err := parseTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := analyze(spans, roots, events, 5)
-	if len(a.Runs) != 1 {
-		t.Fatalf("got %d runs", len(a.Runs))
-	}
-	conv := a.Runs[0].Convergence
-	if len(conv) != 2 {
-		t.Fatalf("got %d convergence rows, want 2: %+v", len(conv), conv)
-	}
-	if conv[0].Name != "em_active_clusters" || conv[1].Name != "em_log_likelihood" {
-		t.Fatalf("rows not name-sorted: %q, %q", conv[0].Name, conv[1].Name)
-	}
-	ll := conv[1]
-	if len(ll.Points) != len(lls) {
-		t.Fatalf("log-likelihood series has %d points, want %d", len(ll.Points), len(lls))
-	}
-	for i, p := range ll.Points {
-		if p.Iter != i || p.Value != lls[i] {
-			t.Errorf("point %d = {%d, %v}, want {%d, %v}", i, p.Iter, p.Value, i, lls[i])
-		}
-	}
-
-	var txt bytes.Buffer
-	if err := writeText(&txt, a, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "convergence") ||
-		!strings.Contains(txt.String(), "em_log_likelihood") {
-		t.Errorf("text output lacks the convergence table:\n%s", txt.String())
-	}
-	// The sparkline of a strictly improving series starts at the bottom
-	// ramp level and ends at the top.
-	spark := sparkline(ll.Points)
-	runes := []rune(spark)
-	if runes[0] != sparkChars[0] || runes[len(runes)-1] != sparkChars[len(sparkChars)-1] {
-		t.Errorf("sparkline %q does not span the ramp", spark)
-	}
-	if flat := sparkline(conv[0].Points); strings.Trim(flat, string(sparkChars[len(sparkChars)/2])) != "" {
-		t.Errorf("flat series sparkline %q not mid-level", flat)
-	}
-
-	// -json carries the same series.
-	payload, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Runs []struct {
-			Convergence []ConvergenceRow `json:"convergence"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(payload, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.Runs) != 1 || len(decoded.Runs[0].Convergence) != 2 {
-		t.Fatalf("-json payload lost the convergence section: %s", payload)
-	}
-}
-
 // TestJSONWorkersReconcileWithWorkerStats is the satellite oracle for the
 // -json worker table: the same multiprocess event stream feeds a JSONL
 // trace (what p3ctrace -json analyzes) and a live obs.WorkerStats sink (the
@@ -284,11 +200,10 @@ func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans, roots, events, err := parseTrace(&buf)
+	a, err := obs.AnalyzeTrace(&buf, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyze(spans, roots, events, 10)
 	if len(a.Runs) != 1 {
 		t.Fatalf("got %d runs", len(a.Runs))
 	}
@@ -299,7 +214,7 @@ func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Analysis
+	var decoded obs.Analysis
 	if err := json.Unmarshal(payload, &decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +222,7 @@ func TestJSONWorkersReconcileWithWorkerStats(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("-json payload carries no worker rows for a multiprocess trace")
 	}
-	byName := make(map[string]WorkerRow, len(got))
+	byName := make(map[string]obs.WorkerRow, len(got))
 	for _, r := range got {
 		byName[r.Worker] = r
 	}

@@ -131,21 +131,9 @@ type Engine struct {
 	jobsRun        int
 	totals         Counters
 	totalsWasted   Counters
-	perJob         map[string]*JobStats
 	// lastProc holds the most recent multiprocess Run's process/spill
 	// statistics (nil until a multiprocess job ran); see LastProcStats.
 	lastProc *ProcStats
-}
-
-// JobStats accumulates per-job-name statistics across an engine's lifetime
-// — the observability a Hadoop job tracker would provide.
-type JobStats struct {
-	// Runs counts executions of jobs with this name.
-	Runs int
-	// Counters accumulates across the runs.
-	Counters Counters
-	// SimulatedSeconds accumulates modeled cost.
-	SimulatedSeconds float64
 }
 
 // NewEngine returns an engine with the given configuration.
@@ -232,7 +220,6 @@ func (e *Engine) ResetAccounting() {
 	e.jobsRun = 0
 	e.totals = Counters{}
 	e.totalsWasted = Counters{}
-	e.perJob = nil
 }
 
 // errInjectedFailure marks fault-injection failures so the retry loop can
@@ -344,17 +331,6 @@ func (e *Engine) Run(job *Job) (*Output, error) {
 	e.jobsRun++
 	e.totals.Add(counters)
 	e.totalsWasted.Add(fault.Wasted)
-	if e.perJob == nil {
-		e.perJob = make(map[string]*JobStats)
-	}
-	js := e.perJob[job.Name]
-	if js == nil {
-		js = &JobStats{}
-		e.perJob[job.Name] = js
-	}
-	js.Runs++
-	js.Counters.Add(counters)
-	js.SimulatedSeconds += out.SimulatedSeconds
 	e.mu.Unlock()
 	if tr != nil {
 		tr.End(obs.End{ID: jobSpan, Kind: obs.KindJob, Name: job.Name,
@@ -376,18 +352,6 @@ func (e *Engine) Run(job *Job) (*Output, error) {
 		m.jobReal.Observe(obs.Since(jobStart).Seconds())
 	}
 	return out, nil
-}
-
-// JobStatsByName returns a copy of the per-job-name statistics accumulated
-// so far, keyed by Job.Name.
-func (e *Engine) JobStatsByName() map[string]JobStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]JobStats, len(e.perJob))
-	for name, js := range e.perJob {
-		out[name] = *js
-	}
-	return out
 }
 
 // pointW emits a point event into the engine's tracer, attributed to a

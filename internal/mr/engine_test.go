@@ -1,10 +1,14 @@
 package mr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
+
+	"p3cmr/internal/obs"
 )
 
 // makeSplits builds splits over sequential 1-D data 0..n-1 (scaled).
@@ -326,33 +330,62 @@ func TestEngineAccounting(t *testing.T) {
 	}
 }
 
+// TestJobStatsByName checks the per-job-name table a traced run yields:
+// repeated runs of one name fold into one row, in first-completion order,
+// and the rows sum to the engine's own totals.
 func TestJobStatsByName(t *testing.T) {
-	engine := NewEngine(Config{Cost: DefaultCostModel()})
+	var buf bytes.Buffer
+	tr := obs.NewJSONLTracer(&buf)
+	engine := NewEngine(Config{Cost: DefaultCostModel(), Tracer: tr})
 	mapper := MapperFunc(func(ctx *TaskContext, global int, row []float64) error {
 		ctx.Emit("k", int64(1))
 		return nil
 	})
+	run := obs.NewSpanID()
+	tr.Begin(obs.Start{ID: run, Kind: obs.KindRun, Name: "jobstats"})
 	for i := 0; i < 3; i++ {
-		if _, err := engine.Run(&Job{Name: "alpha", Splits: makeSplits(50, 2), Mapper: mapper}); err != nil {
+		if _, err := engine.Run(&Job{Name: "alpha", Splits: makeSplits(50, 2), Mapper: mapper, TraceParent: run}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := engine.Run(&Job{Name: "beta", Splits: makeSplits(10, 1), Mapper: mapper}); err != nil {
+	if _, err := engine.Run(&Job{Name: "beta", Splits: makeSplits(10, 1), Mapper: mapper, TraceParent: run}); err != nil {
 		t.Fatal(err)
 	}
-	stats := engine.JobStatsByName()
-	if stats["alpha"].Runs != 3 || stats["beta"].Runs != 1 {
+	tr.End(obs.End{ID: run, Kind: obs.KindRun, Name: "jobstats", Outcome: obs.OutcomeOK})
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := obs.AnalyzeTrace(&buf, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Runs) != 1 {
+		t.Fatalf("runs = %d, want 1", len(a.Runs))
+	}
+	stats := a.Runs[0].Jobs
+	if len(stats) != 2 || stats[0].Job != "alpha" || stats[1].Job != "beta" {
+		t.Fatalf("job rows: %+v", stats)
+	}
+	if stats[0].Runs != 3 || stats[1].Runs != 1 {
 		t.Fatalf("runs: %+v", stats)
 	}
-	if stats["alpha"].Counters.MapInputRecords != 150 {
-		t.Errorf("alpha map input = %d", stats["alpha"].Counters.MapInputRecords)
+	if stats[0].Counters.MapInputRecords != 150 {
+		t.Errorf("alpha map input = %d", stats[0].Counters.MapInputRecords)
 	}
-	if stats["alpha"].SimulatedSeconds <= 0 {
+	if stats[0].SimulatedSeconds <= 0 {
 		t.Error("alpha simulated cost missing")
 	}
-	engine.ResetAccounting()
-	if len(engine.JobStatsByName()) != 0 {
-		t.Error("reset did not clear per-job stats")
+	var sum Counters
+	var sim float64
+	for _, r := range stats {
+		sum.Add(r.Counters)
+		sim += r.SimulatedSeconds
+	}
+	if sum != engine.TotalCounters() {
+		t.Errorf("job rows sum to %+v, engine totals %+v", sum, engine.TotalCounters())
+	}
+	if math.Abs(sim-engine.TotalSimulatedSeconds()) > 1e-9 {
+		t.Errorf("job rows simulate %g s, engine %g s", sim, engine.TotalSimulatedSeconds())
 	}
 }
 

@@ -3,15 +3,18 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
 
-// jsonlLine is the wire form of one trace event: one JSON object per line.
-// Identity fields repeat on end lines so a trace is greppable without
-// reconstructing span state; zero-valued optionals are omitted to keep
-// traces compact.
+// jsonlLine is the wire form of one trace event: one JSON object per line,
+// written by JSONLTracer and the flight recorder and read back by
+// parseTrace. Identity fields repeat on end lines so a trace is greppable
+// without reconstructing span state; zero-valued optionals are omitted to
+// keep traces compact.
 type jsonlLine struct {
 	Ev      string          `json:"ev"` // "begin" | "end" | "point"
 	TS      float64         `json:"ts"` // seconds since the tracer was created
@@ -188,4 +191,122 @@ func (t *JSONLTracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
+}
+
+// parseTrace reads a JSONL trace back into its span forest. Lines may
+// arrive out of causal order: a flight-recorder dump writes evicted
+// critical events (often ends) before the ring window, and a merged
+// multiprocess trace may place a point before its span's begin.
+func parseTrace(r io.Reader) (spans map[int64]*span, roots []*span, events int, err error) {
+	spans = make(map[int64]*span)
+	var pending []*jsonlLine
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		ev := new(jsonlLine)
+		if err := json.Unmarshal(line, ev); err != nil {
+			return nil, nil, events, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		events++
+		switch ev.Ev {
+		case "begin":
+			// Merge into an existing span rather than replace it: this begin
+			// may follow its own end (see above), and replacing would drop
+			// the end's outcome and detach the span.
+			s := spans[ev.ID]
+			if s == nil {
+				s = &span{id: ev.ID}
+				spans[ev.ID] = s
+			}
+			s.parent = ev.Parent
+			s.kind = ev.Kind
+			s.name = ev.Name
+			s.attempt = ev.Attempt
+			s.phase = ev.Phase
+			s.beginTS = ev.TS
+			if ev.Task != nil {
+				s.task = *ev.Task
+			}
+		case "end":
+			s := spans[ev.ID]
+			if s == nil {
+				// End without begin (the flight-recorder window may clip
+				// begins): synthesize the span from the end's identity fields.
+				s = &span{id: ev.ID, kind: ev.Kind, name: ev.Name,
+					attempt: ev.Attempt, phase: ev.Phase, beginTS: ev.TS - ev.RealS}
+				if ev.Task != nil {
+					s.task = *ev.Task
+				}
+				spans[ev.ID] = s
+			}
+			s.closed = true
+			s.endTS = ev.TS
+			s.endSeq = events
+			s.outcome = ev.Outcome
+			s.errText = ev.Err
+			s.realS = ev.RealS
+			s.simS = ev.SimS
+			s.retries = ev.Retries
+			s.worker = ev.Worker
+			if ev.Ctrs != nil {
+				s.counters = *ev.Ctrs
+			}
+			if ev.Wasted != nil {
+				s.wasted = *ev.Wasted
+			}
+		case "point":
+			// Attached once the whole file is read: the point may precede
+			// its span's begin.
+			pending = append(pending, ev)
+		default:
+			return nil, nil, events, fmt.Errorf("line %d: unknown event %q", lineNo, ev.Ev)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, events, err
+	}
+	for _, p := range pending {
+		if s := spans[p.Span]; s != nil {
+			s.points = append(s.points, p)
+		}
+	}
+	ids := make([]int64, 0, len(spans))
+	for id := range spans {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		s := spans[id]
+		if parent := spans[s.parent]; s.parent != 0 && parent != nil {
+			parent.children = append(parent.children, s)
+		} else {
+			roots = append(roots, s)
+		}
+	}
+	// A span whose parent chain loops (a self-parented span, a two-span
+	// cycle) hangs below no root; analyzing the roots alone would silently
+	// drop it.
+	reached := make(map[*span]bool, len(spans))
+	var reach func(s *span)
+	reach = func(s *span) {
+		reached[s] = true
+		for _, c := range s.children {
+			reach(c)
+		}
+	}
+	for _, root := range roots {
+		reach(root)
+	}
+	for _, id := range ids {
+		if !reached[spans[id]] {
+			return nil, nil, events, fmt.Errorf("span %d: parent chain never reaches a root (parent cycle)", id)
+		}
+	}
+	return spans, roots, events, nil
 }

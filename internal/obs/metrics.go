@@ -44,27 +44,50 @@ func (g *Gauge) Add(d float64) {
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// bound moves the gauge to v when v is more extreme than its value: below
+// it when low, above it otherwise.
+func (g *Gauge) bound(v float64, low bool) {
+	for {
+		old := g.bits.Load()
+		cur := math.Float64frombits(old)
+		if low && v >= cur || !low && v <= cur {
+			return
+		}
+		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Histogram counts observations into fixed buckets: bucket i counts values
 // v ≤ Bounds[i]; one implicit overflow bucket counts the rest. Bounds are
-// fixed at creation (no re-bucketing), so Observe is lock-free.
+// fixed at creation (no re-bucketing), so Observe is lock-free. It also
+// tracks the smallest and largest observation, which bound its quantiles.
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last = overflow
-	total  atomic.Int64
-	sum    Gauge
+	bounds   []float64
+	counts   []atomic.Int64 // len(bounds)+1; last = overflow
+	total    atomic.Int64
+	sum      Gauge
+	min, max Gauge // ±Inf until the first observation
 }
 
 // newHistogram builds a histogram with the given (copied, sorted) bucket
-// upper bounds — shared by Registry.Histogram and standalone users like
-// ReportCollector.
+// upper bounds.
 func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h.min.Set(math.Inf(1))
+	h.max.Set(math.Inf(-1))
+	return h
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	// Bound before counting: a snapshot that counts this observation then
+	// also sees it in the range.
+	h.min.bound(v, true)
+	h.max.bound(v, false)
 	i := 0
 	for ; i < len(h.bounds); i++ {
 		if v <= h.bounds[i] {
@@ -84,15 +107,31 @@ type HistogramSnapshot struct {
 	Counts []int64   `json:"counts"`
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
+	// Min and Max are the smallest and largest observation; both are zero
+	// on an empty histogram. Observations with Min = Max = 0 sum to 0, so
+	// Quantile takes a snapshot with those and a nonzero Sum as assembled
+	// by hand without a range, and does not clamp it.
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
 // within the bucket that holds the q·Count-th observation — the same
 // estimator Prometheus' histogram_quantile uses. The first bucket
 // interpolates from 0 (observations are durations/sizes here); a quantile
-// landing in the overflow bucket is clamped to the highest bound. Returns
-// 0 on an empty histogram.
+// landing in the overflow bucket is clamped to the highest bound. The
+// estimate is then clamped into [Min, Max], so no quantile exceeds every
+// sample. Returns 0 on an empty histogram.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
+	v := h.interpolate(q)
+	if h.Count > 0 && (h.Min != 0 || h.Max != 0 || h.Sum == 0) {
+		v = math.Min(math.Max(v, h.Min), h.Max)
+	}
+	return v
+}
+
+// interpolate is Quantile without the clamp to the observed range.
+func (h HistogramSnapshot) interpolate(q float64) float64 {
 	if h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
 	}
@@ -218,6 +257,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.counts {
 		hs.Counts[i] = h.counts[i].Load()
+	}
+	if hs.Count > 0 {
+		hs.Min, hs.Max = h.min.Value(), h.max.Value()
 	}
 	return hs
 }

@@ -63,3 +63,37 @@ func TestQuantileEdgeCases(t *testing.T) {
 		t.Fatalf("Quantile(7) = %v, want clamp to Quantile(1) = %v", got, single.Quantile(1))
 	}
 }
+
+// TestQuantileClampedToObservedRange pins that bucket interpolation never
+// reports a quantile outside the observed samples. The sample is skewed:
+// most tasks take 12 ms, a tail of ten takes 50 ms, and the half-decade
+// bucket (30 ms, 100 ms] holding the tail would interpolate p99 to 93 ms.
+func TestQuantileClampedToObservedRange(t *testing.T) {
+	h := newHistogram([]float64{1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1})
+	for i := 0; i < 90; i++ {
+		h.Observe(0.012)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(0.05)
+	}
+	s := h.Snapshot()
+	if s.Min != 0.012 || s.Max != 0.05 {
+		t.Fatalf("observed range [%g, %g], want [0.012, 0.05]", s.Min, s.Max)
+	}
+	if raw := s.interpolate(0.99); raw <= s.Max {
+		t.Fatalf("unclamped p99 %g does not exceed the max %g: the sample no longer exercises the clamp", raw, s.Max)
+	}
+	p50, p90, p99 := s.Quantile(0.5), s.Quantile(0.9), s.Quantile(0.99)
+	if !(s.Min <= p50 && p50 <= p90 && p90 <= p99 && p99 <= s.Max) {
+		t.Errorf("want min ≤ p50 ≤ p90 ≤ p99 ≤ max, got %g ≤ %g ≤ %g ≤ %g ≤ %g", s.Min, p50, p90, p99, s.Max)
+	}
+
+	// An all-zero sample has every quantile at zero, not inside the first
+	// bucket.
+	z := newHistogram([]float64{1, 2})
+	z.Observe(0)
+	z.Observe(0)
+	if got := z.Snapshot().Quantile(0.5); got != 0 {
+		t.Errorf("all-zero sample median = %g, want 0", got)
+	}
+}

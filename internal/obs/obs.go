@@ -14,9 +14,13 @@
 //
 // Built-in sinks: JSONLTracer (one JSON object per event, a replayable
 // trace file), MemTracer (in-memory capture with structural validation, for
-// tests), and ReportCollector (aggregates job/phase spans into a
-// human-readable end-of-run report — a one-machine job-tracker page).
-// Multi fans one event stream out to several sinks.
+// tests), and the live ops-plane sinks (Progress, WorkerStats,
+// FlightRecorder). Multi fans one event stream out to several sinks.
+//
+// AnalyzeTrace is the one trace analyzer: it reads a JSONL trace back into
+// its span tree and computes every per-run table — phases, jobs, critical
+// path, task skew, stragglers, retry waste, workers, convergence — that
+// p3ctrace, p3ctrace -diff and p3crun -report render.
 package obs
 
 import (

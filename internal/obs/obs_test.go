@@ -170,6 +170,9 @@ func TestMetricsConcurrent(t *testing.T) {
 	if inBuckets != h.Count {
 		t.Errorf("bucket counts sum to %d, want %d", inBuckets, h.Count)
 	}
+	if h.Min != 0 || h.Max != 19 {
+		t.Errorf("histogram range = [%g, %g], want [0, 19]", h.Min, h.Max)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -303,42 +306,5 @@ func TestJSONLStickyError(t *testing.T) {
 	}
 	if tr.Close() == nil {
 		t.Fatal("Close should surface the write error")
-	}
-}
-
-func TestReportCollector(t *testing.T) {
-	r := NewReportCollector()
-	run, phase, job := NewSpanID(), NewSpanID(), NewSpanID()
-	r.Begin(Start{ID: run, Kind: KindRun, Name: "r"})
-	r.Begin(Start{ID: phase, Parent: run, Kind: KindPhase, Name: "histograms"})
-	r.Begin(Start{ID: job, Parent: phase, Kind: KindJob, Name: "histo-job"})
-	// Two attempts of task 0: one faulted, one succeeded.
-	t0a, t0b := NewSpanID(), NewSpanID()
-	r.Begin(Start{ID: t0a, Parent: job, Kind: KindTask, Name: "histo-job", Task: 0, Phase: "map"})
-	r.End(End{ID: t0a, Kind: KindTask, Name: "histo-job", Task: 0, Phase: "map",
-		Outcome: OutcomeFault, Wasted: Counters{MapInputRecords: 50}})
-	r.Begin(Start{ID: t0b, Parent: job, Kind: KindTask, Name: "histo-job", Task: 0, Attempt: 1, Phase: "map"})
-	r.End(End{ID: t0b, Kind: KindTask, Name: "histo-job", Task: 0, Attempt: 1, Phase: "map", Outcome: OutcomeOK})
-	r.End(End{ID: job, Kind: KindJob, Name: "histo-job", Outcome: OutcomeOK,
-		Counters: Counters{MapInputRecords: 100, OutputRecords: 10, TaskRetries: 1},
-		Wasted:   Counters{MapInputRecords: 50}, Retries: 1, SimulatedSeconds: 8})
-	r.End(End{ID: phase, Kind: KindPhase, Name: "histograms", Counters: Counters{MapInputRecords: 100}, Retries: 1, SimulatedSeconds: 8})
-	r.End(End{ID: run, Kind: KindRun, Name: "r"})
-
-	if r.Jobs() != 1 {
-		t.Fatalf("Jobs() = %d, want 1", r.Jobs())
-	}
-	var buf bytes.Buffer
-	if err := r.WriteReport(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"1 jobs", "2 task attempts", "1 faulted", "1 retries", "50 wasted records",
-		"histograms", "histo-job",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
 	}
 }
