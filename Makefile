@@ -52,15 +52,16 @@ chaos:
 # multiprocess sweep auto-trims under -race via a build tag — worker
 # processes are race-instrumented binaries and slow to spawn), the
 # SIGKILL-mid-task chaos tests with exact retry/waste accounting, the
-# out-of-core spill/merge test, and one fuzz-seed pass over the spill
-# codec and the k-way merge.
+# out-of-core spill/merge test, and one fuzz-seed pass (spill codec,
+# k-way merge, RSSC query).
 chaos-proc: fuzz-seeds
 	$(GO) test -race -run 'Backend|ProcKill|Spill|Worker|Multiprocess|Wire' ./internal/mr/ ./cmd/p3ctrace/ .
 
 # One pass over the seed corpora of the spill-codec and k-way-merge fuzz
-# targets.
+# targets, and of the RSSC query oracle.
 fuzz-seeds:
 	$(GO) test -run 'FuzzSpillRoundTrip|FuzzKWayMergeOrder' ./internal/mr/
+	$(GO) test -run 'FuzzRSSCQuery' ./internal/signature/
 
 # Observability suite under the race detector: tracer/metrics unit tests,
 # span-structure tests, trace-vs-untraced identity oracles, and the

@@ -238,7 +238,7 @@ func uncoveredCounts(engine *mr.Engine, splits []*mr.Split, sigs []signature.Sig
 	job := &mr.Job{
 		Name:   "redundancy-uncovered",
 		Splits: splits,
-		Cache:  map[string]any{"rssc": rssc, "sigs": sigs, "ratios": ratios},
+		Cache:  map[string]any{"rssc": rssc, "coverage": signature.NewCoverageRelation(sigs, ratios)},
 		NewMapper: func() mr.Mapper {
 			return &uncoveredMapper{}
 		},
@@ -264,9 +264,7 @@ type uncoveredMapper struct {
 
 func (m *uncoveredMapper) Setup(ctx *mr.TaskContext) error {
 	m.rssc = ctx.MustCache("rssc").(*signature.RSSC)
-	sigs := ctx.MustCache("sigs").([]signature.Signature)
-	ratios := ctx.MustCache("ratios").([]float64)
-	m.acc = signature.NewCoverageAccumulator(sigs, ratios)
+	m.acc = ctx.MustCache("coverage").(*signature.CoverageRelation).NewAccumulator()
 	return nil
 }
 

@@ -175,7 +175,7 @@ func TestUncoveredCountsJobMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Serial reference.
-	acc := signature.NewCoverageAccumulator(sigs, ratios)
+	acc := signature.NewCoverageRelation(sigs, ratios).NewAccumulator()
 	rssc := signature.NewRSSC(sigs)
 	var mask []uint64
 	for i := 0; i < n; i++ {

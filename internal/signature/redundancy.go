@@ -2,6 +2,7 @@ package signature
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -56,10 +57,11 @@ func DecideRedundant(in []RedundancyInput, unc Uncovered, coverage float64) []bo
 	return red
 }
 
-// CoverageAccumulator counts, per signature, the support points not covered
-// by any strictly more interesting signature. Two refinements over a naive
-// reading of Eq. 5 make the filter robust on real (noisy, overlapping)
-// data:
+// CoverageRelation records, per signature j, which signatures may cover
+// j's support points in the redundancy filter: those with a strictly higher
+// interest ratio that are not a lattice superset of j. Two refinements over
+// a naive reading of Eq. 5 make the filter robust on real (noisy,
+// overlapping) data:
 //
 //   - A lattice superset Si ⊃ S never covers S. Overlapping clusters spawn
 //     "slab" artifacts — a low-dimensional true core extended by another
@@ -69,25 +71,24 @@ func DecideRedundant(in []RedundancyInput, unc Uncovered, coverage float64) []bo
 //     safe because genuine subset pruning is the maximality filter's job.
 //   - Coverage is fractional (see DecideRedundant): uniform noise inside an
 //     artifact's box breaks exact set containment on any realistic data.
-type CoverageAccumulator struct {
-	ratios []float64
-	// coveredBy[j] holds the candidate coverers of j: higher ratio, not a
-	// lattice superset.
-	coveredBy [][]int32
-	unc       []int64
-	scratch   []int
+//
+// The relation is a bit matrix of n²/8 bytes, built once and never written
+// after, so every map task of a job shares one.
+type CoverageRelation struct {
+	n, words int
+	// coverers is row-major: row j, coverers[j*words:(j+1)*words], has
+	// bit i set when signature i may cover signature j.
+	coverers []uint64
 }
 
-// NewCoverageAccumulator prepares the coverage relation for the given
+// NewCoverageRelation computes the coverage relation for the given
 // signatures and their interest ratios.
-func NewCoverageAccumulator(sigs []Signature, ratios []float64) *CoverageAccumulator {
+func NewCoverageRelation(sigs []Signature, ratios []float64) *CoverageRelation {
 	n := len(sigs)
-	a := &CoverageAccumulator{
-		ratios:    ratios,
-		coveredBy: make([][]int32, n),
-		unc:       make([]int64, n),
-	}
+	rel := &CoverageRelation{n: n, words: (n + 63) / 64}
+	rel.coverers = make([]uint64, n*rel.words)
 	for j := 0; j < n; j++ {
+		row := rel.coverers[j*rel.words : (j+1)*rel.words]
 		for i := 0; i < n; i++ {
 			if i == j || ratios[i] <= ratios[j] {
 				continue
@@ -95,33 +96,43 @@ func NewCoverageAccumulator(sigs []Signature, ratios []float64) *CoverageAccumul
 			if sigs[j].SubsetOf(sigs[i]) {
 				continue // lattice superset: not a coverer
 			}
-			a.coveredBy[j] = append(a.coveredBy[j], int32(i))
+			row[i/64] |= 1 << (i % 64)
 		}
 	}
-	return a
+	return rel
+}
+
+// NewAccumulator returns an accumulator with zero counts over the relation.
+func (rel *CoverageRelation) NewAccumulator() *CoverageAccumulator {
+	return &CoverageAccumulator{rel: rel, unc: make([]int64, rel.n)}
+}
+
+// CoverageAccumulator counts, per signature, the support points not covered
+// by any of its coverers (see CoverageRelation). Each map task owns one.
+type CoverageAccumulator struct {
+	rel *CoverageRelation
+	unc []int64
 }
 
 // Add processes one point's membership mask: every member signature with no
-// eligible coverer among the members gets an uncovered increment.
+// coverer among the members gets an uncovered increment.
 func (a *CoverageAccumulator) Add(mask []uint64) {
-	members := Ones(a.scratch[:0], mask)
-	a.scratch = members
-	if len(members) == 0 {
-		return
-	}
-	inMask := func(i int32) bool {
-		return mask[i/64]&(1<<(uint(i)%64)) != 0
-	}
-	for _, j := range members {
-		covered := false
-		for _, i := range a.coveredBy[j] {
-			if inMask(i) {
-				covered = true
-				break
+	words := a.rel.words
+	for w, word := range mask {
+		for word != 0 {
+			j := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			row := a.rel.coverers[j*words : (j+1)*words]
+			covered := false
+			for v, m := range mask {
+				if row[v]&m != 0 {
+					covered = true
+					break
+				}
 			}
-		}
-		if !covered {
-			a.unc[j]++
+			if !covered {
+				a.unc[j]++
+			}
 		}
 	}
 }

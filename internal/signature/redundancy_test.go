@@ -3,6 +3,7 @@ package signature
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func TestRedundancyPaperExample(t *testing.T) {
 		t.Fatalf("ratio ordering wrong: %v", ratios)
 	}
 
-	acc := NewCoverageAccumulator(sigs, ratios)
+	acc := NewCoverageRelation(sigs, ratios).NewAccumulator()
 	r := NewRSSC(sigs)
 	var mask []uint64
 	for i := 0; i < n; i++ {
@@ -92,7 +93,7 @@ func TestCoverageSupersetExcluded(t *testing.T) {
 	super := New(iv(0, 0, 0.5), iv(1, 0, 0.5))
 	sigs := []Signature{sub, super}
 	ratios := []float64{2, 10}
-	acc := NewCoverageAccumulator(sigs, ratios)
+	acc := NewCoverageRelation(sigs, ratios).NewAccumulator()
 	r := NewRSSC(sigs)
 	// A point in both: sub must still count as uncovered.
 	mask := r.Query(nil, []float64{0.25, 0.25})
@@ -111,7 +112,7 @@ func TestCoverageByUnrelatedHigherRatio(t *testing.T) {
 	b := New(iv(1, 0, 0.5)) // different subspace, higher ratio
 	sigs := []Signature{a, b}
 	ratios := []float64{2, 10}
-	acc := NewCoverageAccumulator(sigs, ratios)
+	acc := NewCoverageRelation(sigs, ratios).NewAccumulator()
 	r := NewRSSC(sigs)
 	mask := r.Query(nil, []float64{0.25, 0.25}) // in both
 	acc.Add(mask)
@@ -151,5 +152,83 @@ func TestSortByRatioDesc(t *testing.T) {
 	SortByRatioDesc(in)
 	if in[0].Ratio != 5 || in[1].Ratio != 3 || in[2].Ratio != 1 {
 		t.Fatalf("order = %v %v %v", in[0].Ratio, in[1].Ratio, in[2].Ratio)
+	}
+}
+
+// listCoverage is the coverer-list accumulator the bit matrix replaced,
+// kept as the reference: coveredBy[j] lists j's coverers and a member j is
+// uncovered when none of them is in the mask.
+type listCoverage struct {
+	coveredBy [][]int
+	unc       []int64
+}
+
+func newListCoverage(sigs []Signature, ratios []float64) *listCoverage {
+	n := len(sigs)
+	l := &listCoverage{coveredBy: make([][]int, n), unc: make([]int64, n)}
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			if i != j && ratios[i] > ratios[j] && !sigs[j].SubsetOf(sigs[i]) {
+				l.coveredBy[j] = append(l.coveredBy[j], i)
+			}
+		}
+	}
+	return l
+}
+
+func (l *listCoverage) add(mask []uint64) {
+	in := func(i int) bool { return mask[i/64]&(1<<(i%64)) != 0 }
+	for _, j := range Ones(nil, mask) {
+		covered := false
+		for _, i := range l.coveredBy[j] {
+			if in(i) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			l.unc[j]++
+		}
+	}
+}
+
+// TestCoverageAccumulatorMatchesListReference drives the bit-matrix
+// accumulator and the list reference with the same random masks over
+// signature sets with lattice supersets, tied ratios and more than one
+// mask word.
+func TestCoverageAccumulatorMatchesListReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 2, 63, 64, 65, 130, 250} {
+		var sigs []Signature
+		for len(sigs) < n {
+			s := New(iv(rng.Intn(6), float64(rng.Intn(4))/4, 1))
+			for p := 1 + rng.Intn(3); p > 1; p-- {
+				a := rng.Intn(6)
+				if _, ok := s.IntervalOn(a); !ok {
+					s = s.With(iv(a, float64(rng.Intn(4))/4, 1))
+				}
+			}
+			sigs = append(sigs, s) // duplicates allowed: they are mutual supersets
+		}
+		ratios := make([]float64, n)
+		for i := range ratios {
+			ratios[i] = float64(rng.Intn(8)) // ties are frequent
+		}
+		acc := NewCoverageRelation(sigs, ratios).NewAccumulator()
+		ref := newListCoverage(sigs, ratios)
+		mask := make([]uint64, (n+63)/64)
+		for p := 0; p < 500; p++ {
+			for w := range mask {
+				mask[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			if tail := n % 64; tail != 0 {
+				mask[len(mask)-1] &= 1<<tail - 1
+			}
+			acc.Add(mask)
+			ref.add(mask)
+		}
+		if !slices.Equal(acc.Counts(), ref.unc) {
+			t.Fatalf("n=%d: counts %v, list reference %v", n, acc.Counts(), ref.unc)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -160,15 +161,24 @@ func (s Signature) Equal(t Signature) bool {
 
 // Key returns a canonical string identity usable as a map key and as a
 // MapReduce shuffle key.
+//
+// Each interval renders as attr:lo:hi with both bounds in %.17g form (17
+// significant digits round-trip every float64), joined by ';'. Keys of up
+// to about five intervals are built on the stack.
 func (s Signature) Key() string {
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	for i, iv := range s.Intervals {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		fmt.Fprintf(&b, "%d:%.17g:%.17g", iv.Attr, iv.Lo, iv.Hi)
+		b = strconv.AppendInt(b, int64(iv.Attr), 10)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, iv.Lo, 'g', 17, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, iv.Hi, 'g', 17, 64)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the signature for humans.

@@ -1,7 +1,10 @@
 package signature
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +121,51 @@ func TestSubsetOfAndEqual(t *testing.T) {
 	c := New(iv(1, 0, 0.4), iv(2, 0.5, 1))
 	if c.SubsetOf(b) {
 		t.Error("different interval treated as subset")
+	}
+}
+
+// TestKeyMatchesFprintf pins Key to the fmt form it replaced,
+// "%d:%.17g:%.17g" per interval joined by ';', on random bit patterns and
+// on ±0, subnormals, ±Inf, NaN and negative attributes.
+func TestKeyMatchesFprintf(t *testing.T) {
+	fmtKey := func(s Signature) string {
+		var b strings.Builder
+		for i, iv := range s.Intervals {
+			if i > 0 {
+				b.WriteByte(';')
+			}
+			fmt.Fprintf(&b, "%d:%.17g:%.17g", iv.Attr, iv.Lo, iv.Hi)
+		}
+		return b.String()
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, math.Nextafter(0x1p-1022, 0), math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 0.1, 1.0 / 3, 1e21, 1e-7, 123456789012345678,
+	}
+	check := func(s Signature) {
+		t.Helper()
+		if got, want := s.Key(), fmtKey(s); got != want {
+			t.Fatalf("Key() = %q, fmt form %q", got, want)
+		}
+	}
+	check(Signature{})
+	for i, lo := range specials {
+		for _, hi := range specials {
+			check(Signature{Intervals: []Interval{{Attr: i - 3, Lo: lo, Hi: hi}}})
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 20000; k++ {
+		ivs := make([]Interval, 1+rng.Intn(6))
+		for i := range ivs {
+			ivs[i] = Interval{
+				Attr: int(rng.Int63()) >> rng.Intn(63),
+				Lo:   math.Float64frombits(rng.Uint64()),
+				Hi:   math.Float64frombits(rng.Uint64()),
+			}
+		}
+		check(Signature{Intervals: ivs})
 	}
 }
 
