@@ -53,15 +53,15 @@ chaos:
 # processes are race-instrumented binaries and slow to spawn), the
 # SIGKILL-mid-task chaos tests with exact retry/waste accounting, the
 # out-of-core spill/merge test, and one fuzz-seed pass (spill codec,
-# k-way merge, RSSC query).
+# k-way merge, RSSC query, vertical support counts).
 chaos-proc: fuzz-seeds
 	$(GO) test -race -run 'Backend|ProcKill|Spill|Worker|Multiprocess|Wire' ./internal/mr/ ./cmd/p3ctrace/ .
 
 # One pass over the seed corpora of the spill-codec and k-way-merge fuzz
-# targets, and of the RSSC query oracle.
+# targets, and of the RSSC query and vertical support-count oracles.
 fuzz-seeds:
 	$(GO) test -run 'FuzzSpillRoundTrip|FuzzKWayMergeOrder' ./internal/mr/
-	$(GO) test -run 'FuzzRSSCQuery' ./internal/signature/
+	$(GO) test -run 'FuzzRSSCQuery|FuzzColumnCounts' ./internal/signature/
 
 # Observability suite under the race detector: tracer/metrics unit tests,
 # span-structure tests, trace-vs-untraced identity oracles, and the

@@ -71,10 +71,12 @@ func (g *coreGenerator) proveLevel1(intervals []signature.Interval, supports []i
 	return proven
 }
 
-// batch is one collected level of unproven candidates.
+// batch is one collected level of unproven candidates; keys[i] is
+// cands[i].Key(), computed once when the candidate is generated.
 type batch struct {
 	level int
 	cands []signature.Signature
+	keys  []string
 }
 
 // run executes the generation loop and returns all proven signatures.
@@ -93,23 +95,23 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 		prevSize := -1
 		basis := current
 		for g.params.MaxP == 0 || k <= g.params.MaxP {
-			cands, err := generateCandidatesMR(g.engine, basis, g.params.Tgen, g.trace)
+			cands, keys, err := generateCandidatesMR(g.engine, basis, g.params.Tgen, g.trace)
 			if err != nil {
 				return nil, err
 			}
-			cands = g.filterKnown(cands)
+			cands, keys = g.filterKnown(cands, keys)
 			if cap := g.params.LevelCap; cap > 0 && len(cands) > cap {
 				// Pathologically wide lattice (see Params.LevelCap): keep a
 				// deterministic prefix rather than enumerate a level no
 				// cluster could hold.
-				signature.Sort(cands)
-				cands = cands[:cap]
+				sortKeyed(cands, keys)
+				cands, keys = cands[:cap], keys[:cap]
 				g.truncated++
 			}
 			if len(cands) == 0 {
 				break
 			}
-			collected = append(collected, batch{level: k, cands: cands})
+			collected = append(collected, batch{level: k, cands: cands, keys: keys})
 			csum += len(cands)
 			// Defer proving only while the level stays small (§5.3: "if the
 			// number of generated candidates on a level j is small"): a
@@ -133,8 +135,8 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 			return nil, err
 		}
 		for _, b := range collected {
-			for _, c := range b.cands {
-				if g.proven[c.Key()] {
+			for i, c := range b.cands {
+				if g.proven[b.keys[i]] {
 					allProven = append(allProven, c)
 				}
 			}
@@ -148,16 +150,17 @@ func (g *coreGenerator) run(intervals []signature.Interval, supports []int64) ([
 	return allProven, nil
 }
 
-// filterKnown drops candidates that were already tested.
-func (g *coreGenerator) filterKnown(cands []signature.Signature) []signature.Signature {
-	out := cands[:0]
-	for _, c := range cands {
-		key := c.Key()
+// filterKnown drops candidates that were already tested, in place, with
+// their keys.
+func (g *coreGenerator) filterKnown(cands []signature.Signature, keys []string) ([]signature.Signature, []string) {
+	n := 0
+	for i, key := range keys {
 		if !g.proven[key] && !g.failed[key] {
-			out = append(out, c)
+			cands[n], keys[n] = cands[i], key
+			n++
 		}
 	}
-	return out
+	return cands[:n], keys[:n]
 }
 
 // proveBatches counts the supports of all collected candidates with a
@@ -168,32 +171,37 @@ func (g *coreGenerator) filterKnown(cands []signature.Signature) []signature.Sig
 // proven signatures of the topmost batch level.
 func (g *coreGenerator) proveBatches(collected []batch) ([]signature.Signature, error) {
 	var need []signature.Signature
+	var needKeys []string
+	seen := make(map[string]bool)
 	for _, b := range collected {
-		for _, c := range b.cands {
-			if _, ok := g.support[c.Key()]; !ok {
+		for i, c := range b.cands {
+			key := b.keys[i]
+			if _, ok := g.support[key]; !ok && !seen[key] {
+				seen[key] = true
 				need = append(need, c)
+				needKeys = append(needKeys, key)
 			}
 		}
 	}
-	need = signature.Dedup(need)
 	counts, err := countSupports(g.engine, g.splits, need, "prove-candidates", g.trace)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range need {
-		g.support[s.Key()] = counts[i]
+	for i, key := range needKeys {
+		g.support[key] = counts[i]
 	}
 
 	var top []signature.Signature
 	for bi, b := range collected {
 		var provenHere []signature.Signature
-		for _, cand := range b.cands {
+		for i, cand := range b.cands {
+			key := b.keys[i]
 			g.tested++
-			if g.candidatePasses(cand) {
-				g.proven[cand.Key()] = true
+			if g.candidatePasses(cand, key) {
+				g.proven[key] = true
 				provenHere = append(provenHere, cand)
 			} else {
-				g.failed[cand.Key()] = true
+				g.failed[key] = true
 			}
 		}
 		if bi == len(collected)-1 {
@@ -204,16 +212,15 @@ func (g *coreGenerator) proveBatches(collected []batch) ([]signature.Signature, 
 	return top, nil
 }
 
-// candidatePasses evaluates Eq. 1 for one candidate against each immediate
-// sub-signature.
-func (g *coreGenerator) candidatePasses(cand signature.Signature) bool {
-	supp, ok := g.support[cand.Key()]
+// candidatePasses evaluates Eq. 1 for one candidate, whose key is key,
+// against each immediate sub-signature.
+func (g *coreGenerator) candidatePasses(cand signature.Signature, key string) bool {
+	supp, ok := g.support[key]
 	if !ok {
 		return false
 	}
 	for idx := range cand.Intervals {
-		sub := cand.Without(idx)
-		subKey := sub.Key()
+		subKey := signature.KeyWithout(key, idx)
 		if !g.proven[subKey] {
 			return false
 		}

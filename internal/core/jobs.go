@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"p3cmr/internal/histogram"
 	"p3cmr/internal/mr"
@@ -99,17 +100,18 @@ func sumVectorsReducer() mr.TypedReducer {
 // --- Support counting job (§5.3, "Prove Candidates") ------------------------------
 
 // countSupports measures the support of every signature with one MR job
-// using the RSSC: mappers query the bitmap index per point and accumulate
-// local counts; a single reducer sums the count vectors.
+// that counts vertically: each mapper streams its points into one bit
+// column per distinct interval of the batch and, every few hundred points,
+// adds each signature's popcount of the AND of its intervals' columns (see
+// signature.ColumnIndex); a single reducer sums the count vectors.
 func countSupports(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signature, name string, trace obs.SpanID) ([]int64, error) {
 	if len(sigs) == 0 {
 		return nil, nil
 	}
-	rssc := signature.NewRSSC(sigs)
 	job := &mr.Job{
 		Name:   name,
 		Splits: splits,
-		Cache:  map[string]any{"rssc": rssc},
+		Cache:  map[string]any{"columns": signature.NewColumnIndex(sigs)},
 		NewMapper: func() mr.Mapper {
 			return &supportMapper{}
 		},
@@ -129,25 +131,21 @@ func countSupports(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signa
 }
 
 type supportMapper struct {
-	rssc   *signature.RSSC
-	counts []int64
-	mask   []uint64
+	counter *signature.ColumnCounter
 }
 
 func (m *supportMapper) Setup(ctx *mr.TaskContext) error {
-	m.rssc = ctx.MustCache("rssc").(*signature.RSSC)
-	m.counts = make([]int64, m.rssc.NumSignatures())
+	m.counter = ctx.MustCache("columns").(*signature.ColumnIndex).NewSupportCounter()
 	return nil
 }
 
 func (m *supportMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.mask = m.rssc.Query(m.mask, row)
-	signature.AddTo(m.counts, m.mask)
+	m.counter.Add(row)
 	return nil
 }
 
 func (m *supportMapper) Cleanup(ctx *mr.TaskContext) error {
-	ctx.Emit("supports", m.counts)
+	ctx.Emit("supports", m.counter.Counts())
 	return nil
 }
 
@@ -156,15 +154,16 @@ func (m *supportMapper) Cleanup(ctx *mr.TaskContext) error {
 // generateCandidatesMR joins all compatible signature pairs of one a-priori
 // level. When the pair count exceeds 2·Tgen the pair space is sharded over
 // ⌊c/Tgen⌋ map-only tasks (the paper's distributed-cache scheme); otherwise
-// the serial kernel runs inline.
-func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen int64, trace obs.SpanID) ([]signature.Signature, error) {
+// the serial kernel runs inline. keys[i] is cands[i].Key().
+func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen int64, trace obs.SpanID) (cands []signature.Signature, keys []string, err error) {
 	k := int64(len(level))
 	c := k * (k - 1) / 2
 	if c == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if tgen <= 0 || c <= 2*tgen {
-		return signature.GenerateCandidates(level, 0, c), nil
+		cands, keys = signature.GenerateKeyedCandidates(level, 0, c)
+		return cands, keys, nil
 	}
 	numMappers := int(c / tgen)
 	if numMappers < 2 {
@@ -188,20 +187,39 @@ func generateCandidatesMR(engine *mr.Engine, level []signature.Signature, tgen i
 	}
 	out, err := engine.Run(job)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The main program collects candidates, ignoring duplicates across
 	// mappers (§5.3).
 	seen := make(map[string]bool)
-	var cands []signature.Signature
 	for _, p := range out.Pairs {
 		if !seen[p.Key] {
 			seen[p.Key] = true
 			cands = append(cands, p.Value.(signature.Signature))
+			keys = append(keys, p.Key)
 		}
 	}
-	signature.Sort(cands)
-	return cands, nil
+	sortKeyed(cands, keys)
+	return cands, keys, nil
+}
+
+// keyedCands sorts candidates canonically with their keys alongside.
+type keyedCands struct {
+	cands []signature.Signature
+	keys  []string
+}
+
+func (k keyedCands) Len() int           { return len(k.cands) }
+func (k keyedCands) Less(i, j int) bool { return signature.Less(k.cands[i], k.cands[j]) }
+func (k keyedCands) Swap(i, j int) {
+	k.cands[i], k.cands[j] = k.cands[j], k.cands[i]
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+}
+
+// sortKeyed orders cands as signature.Sort does, keeping keys[i] with
+// cands[i].
+func sortKeyed(cands []signature.Signature, keys []string) {
+	sort.Sort(keyedCands{cands, keys})
 }
 
 type genMapper struct{}
@@ -219,8 +237,9 @@ func (genMapper) Cleanup(ctx *mr.TaskContext) error {
 	if hi > total {
 		hi = total
 	}
-	for _, cand := range signature.GenerateCandidates(level, lo, hi) {
-		ctx.Emit(cand.Key(), cand)
+	cands, keys := signature.GenerateKeyedCandidates(level, lo, hi)
+	for i, cand := range cands {
+		ctx.Emit(keys[i], cand)
 	}
 	return nil
 }
@@ -229,16 +248,20 @@ func (genMapper) Cleanup(ctx *mr.TaskContext) error {
 
 // uncoveredCounts runs one pass computing, per signature, how many of its
 // support points are not covered by any strictly more interesting
-// signature.
+// signature. Mappers count vertically, as in countSupports: per block of
+// points, a signature's uncovered points are its column with the columns
+// of its coverers removed (see signature.ColumnIndex.NewUncoveredCounter).
 func uncoveredCounts(engine *mr.Engine, splits []*mr.Split, sigs []signature.Signature, ratios []float64, trace obs.SpanID) ([]int64, error) {
 	if len(sigs) == 0 {
 		return nil, nil
 	}
-	rssc := signature.NewRSSC(sigs)
 	job := &mr.Job{
 		Name:   "redundancy-uncovered",
 		Splits: splits,
-		Cache:  map[string]any{"rssc": rssc, "coverage": signature.NewCoverageRelation(sigs, ratios)},
+		Cache: map[string]any{
+			"columns":  signature.NewColumnIndex(sigs),
+			"coverage": signature.NewCoverageRelation(sigs, ratios),
+		},
 		NewMapper: func() mr.Mapper {
 			return &uncoveredMapper{}
 		},
@@ -257,25 +280,22 @@ func uncoveredCounts(engine *mr.Engine, splits []*mr.Split, sigs []signature.Sig
 }
 
 type uncoveredMapper struct {
-	rssc *signature.RSSC
-	acc  *signature.CoverageAccumulator
-	mask []uint64
+	counter *signature.ColumnCounter
 }
 
 func (m *uncoveredMapper) Setup(ctx *mr.TaskContext) error {
-	m.rssc = ctx.MustCache("rssc").(*signature.RSSC)
-	m.acc = ctx.MustCache("coverage").(*signature.CoverageRelation).NewAccumulator()
+	rel := ctx.MustCache("coverage").(*signature.CoverageRelation)
+	m.counter = ctx.MustCache("columns").(*signature.ColumnIndex).NewUncoveredCounter(rel)
 	return nil
 }
 
 func (m *uncoveredMapper) Map(ctx *mr.TaskContext, global int, row []float64) error {
-	m.mask = m.rssc.Query(m.mask, row)
-	m.acc.Add(m.mask)
+	m.counter.Add(row)
 	return nil
 }
 
 func (m *uncoveredMapper) Cleanup(ctx *mr.TaskContext) error {
-	ctx.Emit("uncovered", m.acc.Counts())
+	ctx.Emit("uncovered", m.counter.Counts())
 	return nil
 }
 

@@ -101,11 +101,11 @@ func TestGenerateCandidatesMRParallelMatchesSerial(t *testing.T) {
 	}
 	signature.Sort(level)
 	engine := mr.Default()
-	serial, err := generateCandidatesMR(engine, level, 0, 0) // Tgen=0 → serial
+	serial, _, err := generateCandidatesMR(engine, level, 0, 0) // Tgen=0 → serial
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := generateCandidatesMR(engine, level, 50, 0) // tiny Tgen → MR path
+	parallel, _, err := generateCandidatesMR(engine, level, 50, 0) // tiny Tgen → MR path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestGenerateCandidatesMRParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	// Empty level.
-	if got, err := generateCandidatesMR(engine, nil, 50, 0); err != nil || got != nil {
+	if got, _, err := generateCandidatesMR(engine, nil, 50, 0); err != nil || got != nil {
 		t.Fatal("empty level must be nil, nil")
 	}
 }

@@ -17,7 +17,6 @@ package outlier
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"p3cmr/internal/em"
 	"p3cmr/internal/linalg"
@@ -329,12 +328,7 @@ func (m *ballMapper) Cleanup(ctx *mr.TaskContext) error {
 			}
 			dists[i] = math.Sqrt(s)
 		}
-		sort.Float64s(dists)
-		radius := dists[n/2]
-		if n%2 == 0 && n >= 2 {
-			radius = (dists[n/2-1] + dists[n/2]) / 2
-		}
-		ctx.Emit(m.keys[c], ballStat{Center: center, Radius: radius, Count: int64(n)})
+		ctx.Emit(m.keys[c], ballStat{Center: center, Radius: stats.MedianInPlace(dists), Count: int64(n)})
 	}
 	return nil
 }

@@ -79,6 +79,30 @@ func BenchmarkRSSCQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkColumnCount streams the points of BenchmarkRSSCQuery's
+// pipeline-shaped batches through a vertical support counter; one op is one
+// point, flushes included, so ns/op compares with the RSSC query's.
+func BenchmarkColumnCount(b *testing.B) {
+	for _, c := range []struct {
+		name             string
+		dim, maxPerLevel int
+	}{
+		{"aligned/dim=20", 20, 5000},
+		{"aligned/dim=100", 100, 5000},
+	} {
+		sigs, level1 := alignedCandidates(c.dim, c.maxPerLevel)
+		cnt := NewColumnIndex(sigs).NewSupportCounter()
+		rows := alignedPoints(level1, c.dim, 1024)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cnt.Add(rows[i%1024*c.dim:][:c.dim])
+			}
+			cnt.Counts()
+		})
+	}
+}
+
 // BenchmarkCoverageAdd feeds pipeline-shaped membership masks through the
 // redundancy filter's coverage test.
 func BenchmarkCoverageAdd(b *testing.B) {

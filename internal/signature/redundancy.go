@@ -30,8 +30,8 @@ type RedundancyInput struct {
 
 // Uncovered holds, per signature, how many of its support-set points are not
 // contained in any strictly more interesting signature's support set. The
-// core package fills it with one data pass (an RSSC query per point); this
-// package only decides redundancy from the counts.
+// core package fills it with one data pass (a ColumnCounter per map task);
+// this package only decides redundancy from the counts.
 type Uncovered struct {
 	// Count[j] is the number of points in SuppSet(sigs[j]) that no
 	// signature with a strictly higher interest ratio covers.
@@ -73,7 +73,9 @@ func DecideRedundant(in []RedundancyInput, unc Uncovered, coverage float64) []bo
 //     artifact's box breaks exact set containment on any realistic data.
 //
 // The relation is a bit matrix of n²/8 bytes, built once and never written
-// after, so every map task of a job shares one.
+// after, so every map task of a job shares one. It is the one coverage
+// rule: the pipeline's vertical counter (ColumnIndex.NewUncoveredCounter)
+// and the row-major CoverageAccumulator both read it.
 type CoverageRelation struct {
 	n, words int
 	// coverers is row-major: row j, coverers[j*words:(j+1)*words], has
@@ -108,7 +110,9 @@ func (rel *CoverageRelation) NewAccumulator() *CoverageAccumulator {
 }
 
 // CoverageAccumulator counts, per signature, the support points not covered
-// by any of its coverers (see CoverageRelation). Each map task owns one.
+// by any of its coverers (see CoverageRelation), one point's membership
+// mask at a time. It is the row-major form of the uncovered count, the
+// reference the vertical counter is tested against.
 type CoverageAccumulator struct {
 	rel *CoverageRelation
 	unc []int64

@@ -1,7 +1,6 @@
 package signature
 
 import (
-	"math"
 	"math/bits"
 	"sort"
 )
@@ -14,16 +13,19 @@ import (
 // signature either does not constrain the attribute or its interval covers
 // the bin.
 //
+// The pipeline uses it only where a job needs each point's membership set:
+// light-membership, the EM initialization's core moments and BoW's
+// assignment. Jobs that need only counts per signature count vertically
+// instead (see ColumnIndex).
+//
 // Bins are exact: interval bounds are closed, so every endpoint becomes a
 // singleton region and the gaps between endpoints become open regions —
 // points exactly on a boundary are classified correctly.
 //
-// A query first finds the point's bin on every relevant attribute with one
-// grid lookup each (see rsscAttr.region). It then runs over the output in
-// blocks of eight words: a block ANDs the selected bin vectors attribute by
-// attribute and stops as soon as all eight words are zero. On real candidate
-// batches the AND of all bin vectors is almost never empty, but most blocks
-// empty after a few attributes. An RSSC is never written after NewRSSC, so
+// A query first finds the point's bin on every relevant attribute by binary
+// search. It then runs over the output in blocks of eight words: a block
+// ANDs the selected bin vectors attribute by attribute and stops as soon as
+// all eight words are zero. An RSSC is never written after NewRSSC, so
 // concurrent queries may share one.
 type RSSC struct {
 	sigs  []Signature
@@ -39,16 +41,6 @@ type rsscAttr struct {
 	attr       int
 	boundaries []float64
 	masks      [][]uint64 // len == 2*len(boundaries)+1
-	// keys holds the boundaries' orderKeys followed by the all-ones key,
-	// which no point's key reaches.
-	keys []uint64
-	// The grid maps x to cell int(clamp((x−lo)·scale, 0, top)). start[c]
-	// counts the boundaries whose own cell is below c; steps is the largest
-	// number of boundaries that share one cell. start is nil when a
-	// boundary is not finite; region then binary-searches the boundaries.
-	lo, scale, top float64
-	start          []int32
-	steps          int
 }
 
 // queryChunk is how many attributes' selected bin vectors Query gathers on
@@ -80,8 +72,7 @@ func NewRSSC(sigs []Signature) *RSSC {
 
 	for _, a := range attrs {
 		bs := dedupFloats(perAttr[a])
-		ra := rsscAttr{attr: a}
-		ra.buildGrid(bs)
+		ra := rsscAttr{attr: a, boundaries: bs}
 		regions := 2*len(bs) + 1
 		ra.masks = make([][]uint64, regions)
 		for reg := 0; reg < regions; reg++ {
@@ -115,90 +106,15 @@ func dedupFloats(xs []float64) []float64 {
 	return out
 }
 
-// maxCellsPerBoundary caps the grid at this many cells per boundary; the
-// grid doubles from two cells per boundary until no cell holds more than
-// one boundary or the cap is reached.
-const maxCellsPerBoundary = 16
-
-// buildGrid stores the sorted boundaries bs and precomputes the lookup grid
-// over [bs[0], bs[last]].
-func (ra *rsscAttr) buildGrid(bs []float64) {
-	n := len(bs)
-	ra.boundaries = bs
-	lo, hi := bs[0], bs[n-1]
-	span := hi - lo
-	if math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsNaN(lo) || math.IsInf(span, 0) {
-		return // a non-finite boundary: binary search only
-	}
-	ra.keys = make([]uint64, n+1)
-	for i, b := range bs {
-		ra.keys[i] = orderKey(b)
-	}
-	ra.keys[n] = math.MaxUint64
-	ra.lo = lo
-	for cells := 2 * n; ; cells *= 2 {
-		ra.top = float64(cells - 1)
-		ra.scale = 1 // any positive scale is exact; 1 serves a zero span
-		if span > 0 {
-			ra.scale = float64(cells) / span
-		}
-		if math.IsInf(ra.scale, 0) {
-			ra.start = nil
-			return
-		}
-		ra.start = make([]int32, cells+1)
-		for _, b := range bs {
-			ra.start[ra.cell(b)+1]++
-		}
-		ra.steps = 0
-		for c := 1; c <= cells; c++ {
-			ra.steps = max(ra.steps, int(ra.start[c]))
-			ra.start[c] += ra.start[c-1]
-		}
-		ra.start = ra.start[:cells]
-		if ra.steps <= 1 || cells >= maxCellsPerBoundary*n {
-			return
-		}
-	}
-}
-
-// cell maps x (not NaN) to its grid cell. It is monotone in x, so every
-// boundary in a cell below x's is below x and every boundary in a cell above
-// is above it; that makes start[cell(x)] plus at most steps comparisons
-// exact.
-func (ra *rsscAttr) cell(x float64) int {
-	return int(min(max(float64(x-ra.lo)*ra.scale, 0), ra.top))
-}
-
-// orderKey maps x (not NaN) to a key whose unsigned order is the float
-// order; −0 and +0 share one key.
-func orderKey(x float64) uint64 {
-	u := math.Float64bits(x + 0) // x + 0 turns −0 into +0
-	return u ^ (uint64(int64(u)>>63) | 1<<63)
-}
-
-// region maps x onto the region scheme over the boundaries bs:
+// region maps x onto the region scheme over the boundaries:
 // region 0 = (−inf, bs[0]), 2i+1 = {bs[i]}, 2i+2 = (bs[i], bs[i+1]),
-// 2·len(bs) = (bs[last], +inf). NaN lands in the last region, as with
-// sort.SearchFloat64s. On the grid it runs without data-dependent branches:
-// its compares are the borrow bits of subtractions on order keys, and the
-// step loop's trip count is fixed per attribute.
+// 2·len(bs) = (bs[last], +inf). NaN lands in the last region.
 func (ra *rsscAttr) region(x float64) int {
-	if ra.start == nil || math.IsNaN(x) {
-		i := sort.SearchFloat64s(ra.boundaries, x)
-		if i < len(ra.boundaries) && ra.boundaries[i] == x {
-			return 2*i + 1
-		}
-		return 2 * i
+	i := sort.SearchFloat64s(ra.boundaries, x)
+	if i < len(ra.boundaries) && ra.boundaries[i] == x {
+		return 2*i + 1
 	}
-	i := int(ra.start[ra.cell(x)])
-	kx := orderKey(x)
-	for k := ra.steps; k > 0; k-- {
-		_, below := bits.Sub64(ra.keys[i], kx, 0)
-		i += int(below)
-	}
-	_, differs := bits.Sub64(0, ra.keys[i]^kx, 0)
-	return 2*i + 1 - int(differs)
+	return 2 * i
 }
 
 // regionInside reports whether every point of the region lies within the

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -101,101 +100,6 @@ func TestRSSCMatchesNaiveCounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// regionIndex is the binary-search region lookup the grid replaced, kept as
-// the reference: region 0 = (−inf, bs[0]), 2i+1 = {bs[i]},
-// 2i+2 = (bs[i], bs[i+1]), 2·len(bs) = (bs[last], +inf).
-func regionIndex(x float64, bs []float64) int {
-	i := sort.SearchFloat64s(bs, x)
-	if i < len(bs) && bs[i] == x {
-		return 2*i + 1
-	}
-	return 2 * i
-}
-
-// probes returns coordinates around the boundaries bs: each boundary and
-// its float neighbours, the midpoints, the extremes of the float line and
-// random values inside and outside the boundaries' span.
-func probes(rng *rand.Rand, bs []float64) []float64 {
-	xs := []float64{
-		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
-		-math.SmallestNonzeroFloat64, 1, -1, 0.5,
-	}
-	for i, b := range bs {
-		xs = append(xs, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
-		if i > 0 {
-			xs = append(xs, bs[i-1]+(b-bs[i-1])/2)
-		}
-	}
-	for k := 0; k < 64; k++ {
-		xs = append(xs, rng.Float64()*3-1, randomFloat(rng))
-	}
-	return xs
-}
-
-// randomFloat draws a float64 from random bits: any sign, exponent,
-// subnormal, infinity or NaN.
-func randomFloat(rng *rand.Rand) float64 {
-	return math.Float64frombits(rng.Uint64())
-}
-
-// TestRSSCRegionMatchesBinarySearch checks the grid lookup against the
-// binary search on boundary sets built to stress it: a single boundary
-// (zero grid span), a 0.1 grid whose values are not exactly representable,
-// random and clustered boundaries (several per grid cell), spans near the
-// float range, subnormal spans, signed zeros and non-finite boundaries; and
-// on every probe, including ±Inf, NaN and −0.
-func TestRSSCRegionMatchesBinarySearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tenths := make([]float64, 11)
-	for i := range tenths {
-		tenths[i] = float64(i) * 0.1
-	}
-	clustered := []float64{0.5}
-	for i := 0; i < 6; i++ {
-		clustered = append(clustered, math.Nextafter(clustered[len(clustered)-1], 1))
-	}
-	clustered = append(clustered, 0.5+1e-12, 0.75, 0.9)
-	sets := [][]float64{
-		{0.5}, {0}, {math.Copysign(0, -1)}, {math.Inf(1)}, {math.NaN()},
-		{0, 1}, {0.25, 0.25 + 1e-300},
-		tenths, clustered,
-		{-math.MaxFloat64, 0, math.MaxFloat64},
-		{-math.MaxFloat64 / 2, math.MaxFloat64 / 2},
-		{math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, 5 * math.SmallestNonzeroFloat64},
-		{math.Copysign(0, -1), math.SmallestNonzeroFloat64},
-		{math.Inf(-1), 0, 1},
-		{0, 1, math.Inf(1)},
-		{math.NaN(), 0.2, 0.4},
-	}
-	for k := 0; k < 40; k++ {
-		n := 1 + rng.Intn(30)
-		bs := make([]float64, n)
-		for i := range bs {
-			switch k % 3 {
-			case 0:
-				bs[i] = rng.Float64()
-			case 1:
-				bs[i] = float64(rng.Intn(60)) / 59
-			default:
-				bs[i] = randomFloat(rng)
-			}
-		}
-		sets = append(sets, bs)
-	}
-	for si, set := range sets {
-		bs := dedupFloats(append([]float64(nil), set...))
-		var ra rsscAttr
-		ra.buildGrid(bs)
-		for _, x := range probes(rng, bs) {
-			if got, want := ra.region(x), regionIndex(x, bs); got != want {
-				t.Fatalf("set %d %v: region(%v) = %d, binary search %d (steps %d, cells %d)",
-					si, bs, x, got, want, ra.steps, len(ra.start))
-			}
-		}
 	}
 }
 

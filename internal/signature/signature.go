@@ -2,8 +2,9 @@
 // attributes (paper Definition 2) — with the operations the P3C+ pipeline
 // needs: support semantics, expected supports under the uniformity
 // assumption, a-priori candidate joins, maximality filtering, the
-// interest-ratio redundancy filter of §4.2.1, and the Rapid Signature
-// Support Counter (RSSC) bitmap structure of §5.3.
+// interest-ratio redundancy filter of §4.2.1, the Rapid Signature Support
+// Counter (RSSC) bitmap structure of §5.3, and vertical support counting
+// over per-interval bit columns (ColumnIndex).
 package signature
 
 import (
@@ -181,6 +182,24 @@ func (s Signature) Key() string {
 	return string(b)
 }
 
+// KeyWithout returns s.Without(idx).Key() given key == s.Key(), by cutting
+// the idx-th interval out of key: no rendered interval holds a ';'.
+func KeyWithout(key string, idx int) string {
+	start := 0
+	for ; idx > 0; idx-- {
+		start += strings.IndexByte(key[start:], ';') + 1
+	}
+	end := strings.IndexByte(key[start:], ';')
+	switch {
+	case end >= 0:
+		return key[:start] + key[start+end+1:]
+	case start > 0:
+		return key[:start-1] // the last interval: drop its leading ';'
+	default:
+		return ""
+	}
+}
+
 // String renders the signature for humans.
 func (s Signature) String() string {
 	parts := make([]string, len(s.Intervals))
@@ -246,6 +265,14 @@ func Sort(sigs []Signature) {
 // generation lives in the core package, this is the serial kernel operating
 // on an index range [lo,hi) of the c = k(k−1)/2 pair space.
 func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
+	cands, _ := GenerateKeyedCandidates(level, lo, hi)
+	return cands
+}
+
+// GenerateKeyedCandidates is GenerateCandidates that also returns each
+// candidate's Key, which its deduplication computes anyway: keys[i] is
+// cands[i].Key().
+func GenerateKeyedCandidates(level []Signature, lo, hi int64) (cands []Signature, keys []string) {
 	k := int64(len(level))
 	total := k * (k - 1) / 2
 	if hi > total {
@@ -254,11 +281,10 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 	if lo < 0 {
 		lo = 0
 	}
-	seen := make(map[string]bool)
-	var out []Signature
 	if lo >= hi {
-		return nil
+		return nil, nil
 	}
+	seen := make(map[string]bool)
 	i, j := PairFromIndex(lo, k)
 	for idx := lo; idx < hi; idx++ {
 		joined, ok := Join(level[i], level[j])
@@ -269,7 +295,8 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 			key := joined.Key()
 			if !seen[key] {
 				seen[key] = true
-				out = append(out, joined)
+				cands = append(cands, joined)
+				keys = append(keys, key)
 			}
 		}
 		// Advance to the next pair incrementally: O(1) per index instead of
@@ -280,7 +307,7 @@ func GenerateCandidates(level []Signature, lo, hi int64) []Signature {
 			j = i + 1
 		}
 	}
-	return out
+	return cands, keys
 }
 
 // PairFromIndex maps a linear index in [0, k(k−1)/2) to the (i,j) pair with

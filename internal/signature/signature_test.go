@@ -169,6 +169,49 @@ func TestKeyMatchesFprintf(t *testing.T) {
 	}
 }
 
+// TestKeyWithoutMatchesWithout checks the key surgery against keying the
+// sub-signature, for every position, on random bit patterns (negative
+// attributes, ±Inf, NaN) and on one-interval signatures.
+func TestKeyWithoutMatchesWithout(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for k := 0; k < 5000; k++ {
+		ivs := make([]Interval, 1+rng.Intn(6))
+		for i := range ivs {
+			ivs[i] = Interval{
+				Attr: int(rng.Int63()) >> rng.Intn(63),
+				Lo:   math.Float64frombits(rng.Uint64()),
+				Hi:   math.Float64frombits(rng.Uint64()),
+			}
+		}
+		s := Signature{Intervals: ivs}
+		for idx := range ivs {
+			if got, want := KeyWithout(s.Key(), idx), s.Without(idx).Key(); got != want {
+				t.Fatalf("KeyWithout(%q, %d) = %q, want %q", s.Key(), idx, got, want)
+			}
+		}
+	}
+}
+
+// TestGenerateKeyedCandidatesKeys checks that the keyed generator returns
+// the plain generator's candidates, each with its own Key.
+func TestGenerateKeyedCandidatesKeys(t *testing.T) {
+	level := benchSigs(60, 8)
+	Sort(level)
+	k := int64(len(level))
+	for _, r := range [][2]int64{{0, k * (k - 1) / 2}, {5, 400}, {7, 7}} {
+		cands, keys := GenerateKeyedCandidates(level, r[0], r[1])
+		plain := GenerateCandidates(level, r[0], r[1])
+		if len(cands) != len(plain) || len(keys) != len(cands) {
+			t.Fatalf("range %v: %d keyed, %d keys, %d plain", r, len(cands), len(keys), len(plain))
+		}
+		for i, c := range cands {
+			if !c.Equal(plain[i]) || keys[i] != c.Key() {
+				t.Fatalf("range %v: candidate %d is %v with key %q", r, i, c, keys[i])
+			}
+		}
+	}
+}
+
 func TestKeyUniqueness(t *testing.T) {
 	a := New(iv(1, 0, 0.5))
 	b := New(iv(1, 0, 0.500001))

@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func BenchmarkPoissonTestLargeLambda(b *testing.B) {
 	b.ReportAllocs()
@@ -46,5 +49,21 @@ func BenchmarkNormalQuantile(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NormalQuantile(0.975)
+	}
+}
+
+// BenchmarkMedianInPlace takes the median of a split-sized sample, as the
+// MVB ball mapper does per cluster and attribute.
+func BenchmarkMedianInPlace(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, 12500)
+	for i := range src {
+		src[i] = rng.Float64()
+	}
+	xs := make([]float64, len(src))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(xs, src)
+		MedianInPlace(xs)
 	}
 }

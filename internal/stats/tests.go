@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -73,14 +74,92 @@ func Median(xs []float64) float64 {
 	return medianSorted(cp)
 }
 
-// MedianInPlace sorts xs and returns the median, avoiding the copy that
-// Median makes. It panics on empty input.
+// MedianInPlace returns the median of xs without the copy that Median
+// makes: it reorders xs, selecting the middle order statistics
+// (quickselect) instead of sorting. The result is Median's, with NaNs
+// ordered first as sort.Float64s orders them; a zero median may carry
+// either sign. It panics on empty input.
 func MedianInPlace(xs []float64) float64 {
-	if len(xs) == 0 {
+	n := len(xs)
+	if n == 0 {
 		panic("stats: median of empty sample")
 	}
-	sort.Float64s(xs)
-	return medianSorted(xs)
+	nans := 0
+	for i, v := range xs {
+		if v != v {
+			xs[i], xs[nans] = xs[nans], v
+			nans++
+		}
+	}
+	hi := n / 2
+	if hi < nans {
+		return xs[hi] // NaN, and so is an even sample's mean of the middle pair
+	}
+	selectKth(xs[nans:], hi-nans, 2*bits.Len(uint(n))+8)
+	if n%2 == 1 {
+		return xs[hi]
+	}
+	if hi-1 < nans {
+		return (xs[hi-1] + xs[hi]) / 2
+	}
+	// Every value below position hi is at most xs[hi]; the largest of them
+	// is the lower middle.
+	lo := xs[nans]
+	for _, v := range xs[nans+1 : hi] {
+		if v > lo {
+			lo = v
+		}
+	}
+	return (lo + xs[hi]) / 2
+}
+
+// selectKth reorders xs (no NaNs) so that xs[k] holds the value the k-th
+// position of sorted xs holds, with no larger value before it and no
+// smaller one after it: Hoare's FIND with a median-of-three pivot. After
+// budget partitions it sorts the remaining range; a logarithmic budget
+// bounds the worst case at O(n log n).
+func selectKth(xs []float64, k, budget int) {
+	lo, hi := 0, len(xs)-1
+	for ; hi > lo; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		p := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for p < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] ≤ p ≤ xs[i..hi], and positions between j and i hold p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 func medianSorted(xs []float64) float64 {

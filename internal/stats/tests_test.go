@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -194,6 +195,103 @@ func TestFDProducesMoreBinsThanSturges(t *testing.T) {
 	for _, n := range []int{10000, 100000, 1000000, 10000000} {
 		if FreedmanDiaconisBinsUniform(n) <= SturgesBins(n) {
 			t.Errorf("FD(%d)=%d not greater than Sturges=%d", n, FreedmanDiaconisBinsUniform(n), SturgesBins(n))
+		}
+	}
+}
+
+// sortedMedian is the sort-based median MedianInPlace replaced: NaNs first,
+// as sort.Float64s orders them.
+func sortedMedian(xs []float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// TestMedianInPlaceMatchesSort checks the quickselect median against the
+// sort-based one on odd and even sizes from 1 up, heavy ties, signed zeros,
+// infinities and NaNs (which sort.Float64s orders first), sorted and
+// reversed inputs and an organ-pipe input.
+func TestMedianInPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	negZero := math.Copysign(0, -1)
+	pools := map[string][]float64{
+		"ties":      {1, 1, 1, 2, 2},
+		"zeros":     {0, negZero, 0, negZero, 1, -1},
+		"infinite":  {math.Inf(1), math.Inf(-1), 0, 1},
+		"nan":       {math.NaN(), 0.5, math.NaN(), 0.25, math.Inf(1)},
+		"mostlyNaN": {math.NaN(), math.NaN(), math.NaN(), 1},
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	check := func(name string, xs []float64) {
+		t.Helper()
+		want := sortedMedian(xs)
+		if got := MedianInPlace(append([]float64(nil), xs...)); !same(got, want) {
+			t.Fatalf("%s %v: quickselect %v, sort %v", name, xs, got, want)
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		for name, pool := range pools {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = pool[rng.Intn(len(pool))]
+			}
+			check(name, xs)
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+		}
+		check("normal", xs)
+		sort.Float64s(xs)
+		check("sorted", xs)
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		check("reversed", xs)
+		for i := range xs {
+			xs[i] = float64(min(i, n-1-i))
+		}
+		check("organ pipe", xs)
+	}
+	for _, n := range []int{1000, 1001, 4096} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(3))
+		}
+		check("large ties", xs)
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		check("large", xs)
+	}
+}
+
+// TestSelectKthBudget runs the selection with budgets small enough that it
+// falls back to sorting partway, as it does on inputs that defeat the
+// median-of-three pivot, and checks the order-statistic contract.
+func TestSelectKthBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(200)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(1 + n/4))
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		k := rng.Intn(n)
+		selectKth(xs, k, trial%4)
+		if xs[k] != sorted[k] {
+			t.Fatalf("n=%d k=%d budget=%d: xs[k] = %v, sorted %v", n, k, trial%4, xs[k], sorted[k])
+		}
+		for i, v := range xs {
+			if (i < k && v > xs[k]) || (i > k && v < xs[k]) {
+				t.Fatalf("n=%d k=%d budget=%d: xs[%d] = %v on the wrong side of %v", n, k, trial%4, i, v, xs[k])
+			}
 		}
 	}
 }
